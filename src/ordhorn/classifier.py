@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Atom, QfFormula
+from .formula import Atom, QfFormula, flip_order
 from .orders import (
     ArityTooLarge,
     WeakOrder,
@@ -238,10 +238,6 @@ def goh_syntactic(f: QfFormula) -> bool:
 # formula surgery
 
 
-def _relation_set(f: QfFormula):
-    return relation_of(f)
-
-
 def elim_min(f: QfFormula) -> QfFormula:
     """Shrink every multi-target order block to a single disjunct.
 
@@ -249,7 +245,7 @@ def elim_min(f: QfFormula) -> QfFormula:
     lone survival preserves the relation is kept; Ord-Horn inputs always
     admit one.
     """
-    reference = _relation_set(f)
+    reference = relation_of(f)
     clauses = [list(_oriented(c)) for c in f.clauses]
     out = []
     for ci, clause in enumerate(clauses):
@@ -266,14 +262,14 @@ def elim_min(f: QfFormula) -> QfFormula:
             trial = [tuple(c) for c in out]
             trial.append(tuple(rest + [cand]))
             trial.extend(tuple(c) for c in clauses[ci + 1 :])
-            if _relation_set(QfFormula(f.arity, tuple(trial))) == reference:
+            if relation_of(QfFormula(f.arity, tuple(trial))) == reference:
                 chosen = cand
                 break
         if chosen is None:
             raise NoValidIndexError("no single order disjunct preserves the relation")
         out.append(tuple(rest + [chosen]))
     result = QfFormula(f.arity, tuple(out))
-    assert _relation_set(result) == reference, "elimination changed the relation"
+    assert relation_of(result) == reference, "elimination changed the relation"
     return result
 
 
@@ -572,8 +568,6 @@ def classify(rels) -> ClassReport:
 
 def reverse(r: TemporalRelation) -> TemporalRelation:
     """Flip every order atom; pp-preservation turns into dual-pp-preservation."""
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
-    clauses = tuple(
-        tuple(Atom(a.left, flip[a.op], a.right) for a in c) for c in r.defn.clauses
+    return TemporalRelation(
+        r.arity, QfFormula(r.arity, flip_order(r.defn.clauses)), r.name + "_rev"
     )
-    return TemporalRelation(r.arity, QfFormula(r.arity, clauses), r.name + "_rev")

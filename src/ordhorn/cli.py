@@ -12,10 +12,10 @@ import random
 import sys
 
 from .formula import (
-    Atom,
     NotPivotedError,
     ParseError,
     QcspInstance,
+    flip_order,
     normalize,
     parse_instance,
     parse_relation,
@@ -39,20 +39,14 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-
-
-def _reverse_instance(inst: QcspInstance) -> QcspInstance:
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
-    matrix = tuple(
-        tuple(Atom(a.left, flip[a.op], a.right) for a in c) for c in inst.general_matrix()
-    )
-    return QcspInstance(inst.names, inst.quants, matrix)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path} as UTF-8: {exc}")
 
 
 def _load_instance(args) -> QcspInstance:
     inst = parse_instance(_read(args.file))
     if getattr(args, "reverse_order", False):
-        inst = _reverse_instance(inst)
+        inst = QcspInstance(inst.names, inst.quants, flip_order(inst.general_matrix()))
     return inst
 
 

@@ -48,6 +48,13 @@ class Atom(NamedTuple):
 
 Clause = tuple  # tuple[Atom, ...]
 
+_FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
+
+
+def flip_order(clauses) -> tuple:
+    """Atom clauses with every order atom turned around (the dual order)."""
+    return tuple(tuple(Atom(a.left, _FLIPPED[a.op], a.right) for a in c) for c in clauses)
+
 
 @dataclass(frozen=True)
 class QfFormula:
@@ -139,6 +146,10 @@ def _expand_disjunct(tokens, line_no, col, declared, line):
             if v not in declared:
                 raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
         return [(Atom(declared[a], op, declared[b]),)]
+    op = next((t for t in tokens[:2] if t in OPS), None)
+    if op is not None:
+        problem = "missing" if len(tokens) < 3 else "extra"
+        raise ParseError(f"{problem} operand for {op!r}", line_no, col)
     if len(tokens) >= 2 and all(ch in "=!<>" for ch in tokens[1]):
         raise ParseError(f"unknown operator {tokens[1]!r}", line_no, line.find(tokens[1]) + 1)
     name = tokens[0]
@@ -245,12 +256,18 @@ def parse_relation(text: str):
                 arity = int(tokens[1])
             except (IndexError, ValueError):
                 raise ParseError("malformed arity line", line_no, 1)
+            if arity < 0:
+                raise ParseError("arity must not be negative", line_no, 1)
             declared = {f"x{i + 1}": i for i in range(arity)}
         elif tokens[0] == "name":
+            if len(tokens) != 2:
+                raise ParseError("expected one relation name", line_no, 1)
             name = tokens[1]
         elif tokens[0] == "C":
             if arity is None:
                 raise ParseError("arity must precede clauses", line_no, 1)
+            if len(tokens) < 2:
+                raise ParseError("empty clause", line_no, 1)
             body = line.split(None, 1)[1]
             clauses.extend(_parse_clause_line(body, line_no, declared, line))
         else:

@@ -6,6 +6,12 @@ sit in the pivot's class (contributing its order disjunct, or falsity), and
 strongly connected components of the resulting <=-graph collapse into single
 classes.  At the fixpoint, distinct classes receive distinct values, which
 satisfies every clause that never fired.
+
+There is one closure engine, :func:`closure`, shared by :func:`oh_sat` and
+the solver.  It indexes clauses by pivot and re-examines a clause only when
+its pivot's class grows, so a clause with no partner besides its pivot
+would never be examined: callers pass such clauses as plain edges (or,
+without an order disjunct, refute at once).
 """
 
 from __future__ import annotations
@@ -111,15 +117,19 @@ def _tarjan_sccs(nodes, adj):
     return sccs
 
 
-def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot=None):
-    """Core closure; clause i is (pivots[i], pmasks[i], targets[i]),
-    target -1 meaning none and -2 marking a retired entry.
+def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
+    """Merge/fire closure over clauses i = (pivots[i], pmasks[i], targets[i])
+    and the atoms x = y (eqs), x <= y (les), x < y (lts) and x != y (nes).
 
-    With ``by_pivot`` (a map from pivot variable to clause ids), only clauses
-    whose pivot class grew are re-examined; callers of this mode must pass
-    partner-free clauses as plain edges instead.  Returns
-    (parent, members, None, fired_edges) on success or
-    (None, None, certificate, None) on refutation.
+    A target of -1 means the clause has no order disjunct; -2 marks a
+    retired entry, which never fires.  Every live clause must have a partner
+    besides its pivot (partner-free clauses are passed as ``les`` edges
+    (target, pivot) instead), and ``by_pivot`` maps each pivot variable to
+    its clause ids: a round re-examines only the clauses whose pivot class
+    grew.  Returns (reps, members, None, fired_edges) on success, with
+    reps[v] the class representative of variable v and members[r] the class
+    bitmask of representative r, or (None, None, certificate, None) on
+    refutation, the certificate being the merge/fire event sequence.
     """
     parent = list(range(n))
     members = [1 << i for i in range(n)]
@@ -150,21 +160,18 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot=None):
 
     fired = set()
     fired_edges = []
-    n_clauses = len(pivots)
     rounds = 0
     while True:
         rounds += 1
         # each non-final round merges at least two classes
-        assert rounds <= n + 2, "closure exceeded its merge-round bound"
-        if by_pivot is None:
-            scan = range(n_clauses)
-        else:
-            scan = []
-            m = changed_mask
-            while m:
-                bit = m & -m
-                scan.extend(by_pivot.get(bit.bit_length() - 1, ()))
-                m ^= bit
+        if rounds > n + 2:
+            raise RuntimeError("closure exceeded its merge-round bound")
+        scan = []
+        m = changed_mask
+        while m:
+            bit = m & -m
+            scan.extend(by_pivot.get(bit.bit_length() - 1, ()))
+            m ^= bit
         changed_mask = 0
         for i in scan:
             if i in fired or targets[i] == -2:
@@ -177,16 +184,13 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot=None):
                     events.append(("empty-clause", i))
                     return None, None, events, None
                 fired_edges.append((targets[i], pivots[i]))
+        reps = [find(i) for i in range(n)]
         adj = {}
-        for a, b in les:
-            adj.setdefault(find(a), set()).add(find(b))
-        for a, b in lts:
-            adj.setdefault(find(a), set()).add(find(b))
-        for a, b in fired_edges:
-            adj.setdefault(find(a), set()).add(find(b))
-        roots = {find(i) for i in range(n)}
+        for edges in (les, lts, fired_edges):
+            for a, b in edges:
+                adj.setdefault(reps[a], set()).add(reps[b])
         merged = False
-        for comp in _tarjan_sccs(sorted(roots), {k: sorted(v) for k, v in adj.items()}):
+        for comp in _tarjan_sccs(sorted(set(reps)), {k: sorted(v) for k, v in adj.items()}):
             if len(comp) > 1:
                 base = comp[0]
                 for other in comp[1:]:
@@ -195,31 +199,25 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot=None):
             break
 
     for a, b in lts:
-        if find(a) == find(b):
+        if reps[a] == reps[b]:
             events.append(("strict-cycle", a, b))
             return None, None, events, None
     for a, b in nes:
-        if find(a) == find(b):
+        if reps[a] == reps[b]:
             events.append(("forced-equal", a, b))
             return None, None, events, None
-    return parent, members, None, fired_edges
+    return reps, members, None, fired_edges
 
 
-def _model_from_classes(n, parent, members, les, lts, fired_edges):
+def _model_from_classes(reps, les, lts, fired_edges):
     """Strictly increasing levels along a topological order of the classes."""
     import heapq
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    roots = sorted({find(i) for i in range(n)})
+    roots = sorted(set(reps))
     succ = {r: set() for r in roots}
     indeg = {r: 0 for r in roots}
     for a, b in list(les) + list(lts) + list(fired_edges):
-        ra, rb = find(a), find(b)
+        ra, rb = reps[a], reps[b]
         if ra != rb and rb not in succ[ra]:
             succ[ra].add(rb)
             indeg[rb] += 1
@@ -235,27 +233,37 @@ def _model_from_classes(n, parent, members, les, lts, fired_edges):
             indeg[s] -= 1
             if indeg[s] == 0:
                 heapq.heappush(heap, s)
-    assert len(rank) == len(roots), "class graph was not acyclic after closure"
-    return WeakOrder(tuple(rank[find(i)] for i in range(n)))
+    if len(rank) != len(roots):
+        raise RuntimeError("class graph was not acyclic after closure")
+    return WeakOrder(tuple(rank[r] for r in reps))
 
 
 def oh_sat(conj: OhConjunction):
     """Decide a conjunction; SAT answers carry a witnessing weak order."""
-    n = conj.n_vars
     eqs, les, lts, nes = _normalize_atoms(conj.atoms)
-    pivots = [c.pivot for c in conj.clauses]
-    pmasks = []
-    targets = []
-    for c in conj.clauses:
+    pivots, pmasks, targets = [], [], []
+    by_pivot = {}
+    for i, c in enumerate(conj.clauses):
         m = 0
         for p in c.partners:
             m |= 1 << p
+        m &= ~(1 << c.pivot)  # pivot != pivot is a false disjunct
+        target = c.target if c.target is not None else -1
+        if m:
+            by_pivot.setdefault(c.pivot, []).append(i)
+        elif target < 0:
+            return UnsatResult([("fire", i), ("empty-clause", i)])
+        else:
+            les.append((target, c.pivot))
+        pivots.append(c.pivot)
         pmasks.append(m)
-        targets.append(c.target if c.target is not None else -1)
-    parent, members, cert, fired_edges = closure(n, pivots, pmasks, targets, eqs, les, lts, nes)
-    if parent is None:
+        targets.append(target)
+    reps, _, cert, fired_edges = closure(
+        conj.n_vars, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot
+    )
+    if reps is None:
         return UnsatResult(cert)
-    return SatResult(_model_from_classes(n, parent, members, les, lts, fired_edges))
+    return SatResult(_model_from_classes(reps, les, lts, fired_edges))
 
 
 _NEGATIONS = {

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .formula import OhClause, QcspInstance
 from .game import Move
-from .solver import DialectError, Verdict, _bits, _upset_masks, cut_set
+from .solver import DialectError, Verdict, _bits, _cut_mask, _upset_masks
 
 
 class StrategyUndefinedError(RuntimeError):
@@ -87,27 +87,13 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
     n = inst.n_vars
     quants = inst.quants
     univ = [q == "A" for q in quants]
-    univ_mask = 0
-    for i, u in enumerate(univ):
-        if u:
-            univ_mask |= 1 << i
+    ups = _upset_masks(quants)
     orientations = _orientations(inst.matrix)
     prog_u = {}
     prog_v = {}
     for u, v, z in orientations:
         prog_u.setdefault(u, []).append((v, z))
         prog_v.setdefault(v, []).append((u, z))
-
-    cut_masks = {}
-
-    def cut_mask(x, z):
-        got = cut_masks.get((x, z))
-        if got is None:
-            got = 0
-            for u in cut_set(inst, x, z):
-                got |= 1 << u
-            cut_masks[(x, z)] = got
-        return got
 
     minimal = {}
     by_first = {}  # x -> list of (z, mask)
@@ -121,8 +107,8 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         """Simplify, prune by the antichain, store, and check refutation.
         Returns "bottom" when refutation fires, else None."""
         nonlocal count
-        mask &= ~cut_mask(x, z)
-        assert mask & ~univ_mask == 0, "fact carries a non-universal variable"
+        mask &= ~_cut_mask(quants, ups, x, z)
+        assert mask & ~ups[0] == 0, "fact carries a non-universal variable"
         bucket = minimal.setdefault((x, z), [])
         for m in bucket:
             if m & mask == m:
@@ -359,16 +345,10 @@ def check_cover(inst: QcspInstance, facts: FactBase, verdict: Verdict) -> bool:
 def uncovered_facts(inst: QcspInstance, facts: FactBase, verdict: Verdict):
     ups = _upset_masks(inst.quants)
     out = []
-    cut_cache = {}
     for (x, z), masks in facts.minimal.items():
         if x == z:
             continue  # the induced clause x >= x is tautological
-        cm = cut_cache.get((x, z))
-        if cm is None:
-            cm = 0
-            for u in cut_set(inst, x, z):
-                cm |= 1 << u
-            cut_cache[(x, z)] = cm
+        cm = _cut_mask(inst.quants, ups, x, z)
         for mask in masks:
             if mask & (1 << z):
                 continue

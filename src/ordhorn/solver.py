@@ -65,20 +65,30 @@ def up_set(inst: QcspInstance, u: int) -> set:
     return {y for y in range(u, inst.n_vars) if inst.quants[y] == "A"}
 
 
-def cut_set(inst: QcspInstance, x: int, z: int) -> set:
-    """Universal variables strictly after every existential among {x, z},
-    excluding z itself."""
-    existentials = [v for v in (x, z) if inst.quants[v] == "E"]
-    t = max(existentials) if existentials else -1
-    return {u for u in range(t + 1, inst.n_vars) if inst.quants[u] == "A" and u != z}
-
-
 def _upset_masks(quants):
+    """Bitmask of the universal variables at or after each prefix position,
+    with a trailing empty mask at position n."""
     n = len(quants)
     out = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         out[i] = out[i + 1] | ((1 << i) if quants[i] == "A" else 0)
-    return out[:n]
+    return out
+
+
+def _cut_mask(quants, ups, x, z):
+    """Bitmask of :func:`cut_set`, given ``ups = _upset_masks(quants)``."""
+    t = -1
+    if quants[x] == "E":
+        t = x
+    if quants[z] == "E" and z > t:
+        t = z
+    return ups[t + 1] & ~(1 << z)
+
+
+def cut_set(inst: QcspInstance, x: int, z: int) -> set:
+    """Universal variables strictly after every existential among {x, z},
+    excluding z itself."""
+    return set(_bits(_cut_mask(inst.quants, _upset_masks(inst.quants), x, z)))
 
 
 def _bits(mask):
@@ -142,7 +152,8 @@ def solve(inst: QcspInstance) -> Verdict:
         if derived_pair and (c.pivot, c.target) in pair_slot:
             if slot is None:
                 return True  # a unit for this pair already subsumes it
-            assert m & ~pmasks[slot] == 0, "derived partner sets must shrink"
+            if m & ~pmasks[slot]:
+                raise RuntimeError("derived partner sets must shrink")
             pmasks[slot] = m
             return True
         idx = len(pivots)
@@ -157,17 +168,6 @@ def solve(inst: QcspInstance) -> Verdict:
     for c in inst.matrix:
         add_clause(c)
 
-    cut_masks = {}
-
-    def cut_mask(x, z):
-        got = cut_masks.get((x, z))
-        if got is None:
-            got = 0
-            for u in cut_set(inst, x, z):
-                got |= 1 << u
-            cut_masks[(x, z)] = got
-        return got
-
     derived = []
     log = []
     oracle_calls = 0
@@ -181,10 +181,10 @@ def solve(inst: QcspInstance) -> Verdict:
         nonlocal oracle_calls
         oracle_calls += 1
         eqs = [(x, v) for v in _bits(mask & ~(1 << x) & ~(1 << z))]
-        parent, _, _, _ = closure(
+        reps, _, _, _ = closure(
             n, pivots, pmasks, targets, eqs, edge_list, [(x, z)], [], by_pivot
         )
-        return parent is None
+        return reps is None
 
     def false_verdict(x, z):
         unit = clauses.get((x, (), z)) or clauses.get((z, (), x))
@@ -221,7 +221,7 @@ def solve(inst: QcspInstance) -> Verdict:
                             else:
                                 b = mid
                         s = b
-                    cm = cut_mask(x, z)
+                    cm = _cut_mask(quants, ups, x, z)
                     for i in range(lo, s):
                         u, mask = G[i]
                         partners = frozenset(_bits(mask & ~(1 << x) & ~(1 << z) & ~cm))
@@ -231,7 +231,8 @@ def solve(inst: QcspInstance) -> Verdict:
                         if fresh:
                             derived.append(c)
                             changed = True
-                            assert len(derived) <= n * n * (n + 1), "derived-clause bound violated"
+                            if len(derived) > n * n * (n + 1):
+                                raise RuntimeError("derived-clause bound violated")
                             if c.is_unit() and rejects(x, z):
                                 return false_verdict(x, z)
                     lo = s

@@ -139,6 +139,15 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qcsp"
+    bad.write_bytes(b"qcsp v1\nE x\xff\n")
+    for argv in (("solve", bad), ("classify", bad), ("reduce-3cnf", bad)):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "UTF-8" in err
+
+
 def test_syntax_error_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.qcsp"
     bad.write_text("qcsp v1\nE x1\nE x2\nC x1 >> x2\n")

@@ -54,6 +54,18 @@ def test_parse_errors():
         parse_instance("qcsp v1\nE x\nA x\n")
     with pytest.raises(ParseError, match="unknown relation"):
         parse_instance("qcsp v1\nE x\nC FOO x\n")
+    with pytest.raises(ParseError, match="missing operand for '<'"):
+        parse_instance("qcsp v1\nE x\nC x <\n")
+    with pytest.raises(ParseError, match="missing operand for '>='"):
+        parse_instance("qcsp v1\nE x\nC x = x | >= x\n")
+    with pytest.raises(ParseError, match="extra operand for '<'"):
+        parse_instance("qcsp v1\nE x\nE y\nC x < y y\n")
+    with pytest.raises(ParseError, match="one relation name"):
+        parse_relation("rel v1\nname\narity 2\n")
+    with pytest.raises(ParseError, match="empty clause"):
+        parse_relation("rel v1\narity 2\nC\n")
+    with pytest.raises(ParseError, match="negative"):
+        parse_relation("rel v1\narity -1\n")
 
 
 def test_comments_and_blank_lines():

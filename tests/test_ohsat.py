@@ -154,16 +154,19 @@ def test_model_uses_distinct_levels_per_class():
     assert len(set(res.model.ranks)) == 3
 
 
-def test_closure_delta_mode_matches_full_mode():
-    """The pivot-indexed delta scan must agree with the full scan whenever
-    its contract holds (partner-free clauses passed as edges)."""
-    from ordhorn.ohsat import closure
+def test_closure_matches_weak_order_brute_force():
+    """The closure engine under the solver's conventions (partner-free
+    clauses as edges, retired entries, equality/strict/disequality atoms)
+    against weak-order brute force; SAT answers must come with classes and
+    fired edges that yield a model."""
+    from ordhorn.ohsat import _model_from_classes, closure
 
     rng = random.Random(909)
-    for _ in range(3000):
-        n = rng.randint(2, 6)
+    orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
+    for _ in range(1500):
+        n = rng.randint(2, 5)
         pivots, pmasks, targets = [], [], []
-        edges = []
+        live = []  # the entries that are not retired, as clauses
         for _ in range(rng.randint(0, 4)):
             pivot = rng.randrange(n)
             others = [v for v in range(n) if v != pivot]
@@ -172,31 +175,31 @@ def test_closure_delta_mode_matches_full_mode():
             m = 0
             for p in partners:
                 m |= 1 << p
+            target = rng.choice([-2, -1] + list(range(n)))
             pivots.append(pivot)
             pmasks.append(m)
-            targets.append(rng.choice([-1] + list(range(n))))
-        for _ in range(rng.randint(0, 3)):
-            edges.append((rng.randrange(n), rng.randrange(n)))
+            targets.append(target)
+            if target != -2:
+                live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
         eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         by_pivot = {}
         for i, p in enumerate(pivots):
             by_pivot.setdefault(p, []).append(i)
-        full = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes)
-        delta = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes, by_pivot)
-        assert (full[0] is None) == (delta[0] is None)
-        if full[0] is not None:
-            # identical partitions into classes
-            def classes(parent):
-                def find(i):
-                    while parent[i] != i:
-                        i = parent[i]
-                    return i
-
-                groups = {}
-                for i in range(n):
-                    groups.setdefault(find(i), set()).add(i)
-                return frozenset(frozenset(g) for g in groups.values())
-
-            assert classes(full[0]) == classes(delta[0])
+        atoms = (
+            [Atom(a, "=", b) for a, b in eqs]
+            + [Atom(a, "<=", b) for a, b in edges]
+            + [Atom(a, "<", b) for a, b in lts]
+            + [Atom(a, "!=", b) for a, b in nes]
+        )
+        conj = OhConjunction(n, tuple(live), tuple(atoms))
+        reps, _, cert, fired = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes, by_pivot)
+        truth = any(model_satisfies(conj, w) for w in orders[n])
+        assert (reps is not None) == truth, conj
+        if reps is None:
+            assert cert
+        else:
+            assert all(reps[reps[v]] == reps[v] for v in range(n))
+            assert model_satisfies(conj, _model_from_classes(reps, edges, lts, fired)), conj
