@@ -80,16 +80,8 @@ def is_oh(r: TemporalRelation) -> bool:
 
 
 def _oriented(clause):
-    """Rewrite <= to >= (and > to <) so pivots sit on the left; other ops kept."""
-    out = []
-    for a in clause:
-        if a.op == "<=":
-            out.append(Atom(a.right, ">=", a.left))
-        elif a.op == "<":
-            out.append(Atom(a.right, ">", a.left))
-        else:
-            out.append(a)
-    return out
+    """Rewrite <= to >= (and < to >) so pivots sit on the left; other ops kept."""
+    return [a.swapped() if a.op in ("<", "<=") else a for a in clause]
 
 
 def ppsynt_shape(f: QfFormula) -> bool:
@@ -138,23 +130,18 @@ def oh_shape(f: QfFormula) -> bool:
 # guarded Ord-Horn recognition
 
 
+_GOH_KINDS = {"<=": "le", "<": "lt", "!=": "ne"}
+
+
 def _goh_normal(clause):
     """Atoms as ("le"|"lt"|"ne", a, b); None when the clause leaves the
     {<=, <, !=} fragment."""
     out = []
-    for a in clause:
-        if a.op == "<=":
-            out.append(("le", a.left, a.right))
-        elif a.op == ">=":
-            out.append(("le", a.right, a.left))
-        elif a.op == "<":
-            out.append(("lt", a.left, a.right))
-        elif a.op == ">":
-            out.append(("lt", a.right, a.left))
-        elif a.op == "!=":
-            out.append(("ne", a.left, a.right))
-        else:
+    for atom in clause:
+        a = atom.lower_first()
+        if a.op not in _GOH_KINDS:
             return None
+        out.append((_GOH_KINDS[a.op], a.left, a.right))
     return tuple(sorted(out))
 
 
@@ -269,7 +256,8 @@ def elim_min(f: QfFormula) -> QfFormula:
             raise NoValidIndexError("no single order disjunct preserves the relation")
         out.append(tuple(rest + [chosen]))
     result = QfFormula(f.arity, tuple(out))
-    assert relation_of(result) == reference, "elimination changed the relation"
+    if relation_of(result) != reference:
+        raise RuntimeError("elimination changed the relation")
     return result
 
 

@@ -32,6 +32,13 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
+_FLAG_HELP = {
+    "json": "machine-readable output",
+    "quiet": "verdict-only output",
+    "reverse-order": "flip every order atom before processing (dual instance)",
+    "emit-strategy": "also print the existential player's winning strategy",
+}
+
 
 def _read(path):
     try:
@@ -45,7 +52,7 @@ def _read(path):
 
 def _load_instance(args) -> QcspInstance:
     inst = parse_instance(_read(args.file))
-    if getattr(args, "reverse_order", False):
+    if args.reverse_order:
         inst = QcspInstance(inst.names, inst.quants, flip_order(inst.general_matrix()))
     return inst
 
@@ -78,13 +85,17 @@ def _cmd_brute(args):
     return EXIT_OK
 
 
-def _cmd_derive(args):
-    inst = _load_instance(args)
-    compiled = compile_to_mplus(normalize(inst))
+def _saturated(args):
+    """The compiled instance and its saturated facts; exit 4 past the cap."""
+    compiled = compile_to_mplus(normalize(_load_instance(args)))
     facts = saturate(compiled, cap=args.cap)
     if facts.status == "cap":
-        print(f"fact cap {args.cap} exceeded", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise ResourceLimitError(f"fact cap {args.cap} exceeded")
+    return compiled, facts
+
+
+def _cmd_derive(args):
+    _, facts = _saturated(args)
     if args.json:
         print(
             json.dumps(
@@ -141,12 +152,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify_strategy(args):
-    inst = _load_instance(args)
-    compiled = compile_to_mplus(normalize(inst))
-    facts = saturate(compiled, cap=args.cap)
-    if facts.status == "cap":
-        print(f"fact cap {args.cap} exceeded", file=sys.stderr)
-        return EXIT_RESOURCE
+    compiled, facts = _saturated(args)
     if facts.status == "bottom":
         print("bottom (instance is false; no strategy to verify)")
         return EXIT_OK
@@ -210,61 +216,48 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ordhorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reverse=True):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--quiet", action="store_true", help="verdict-only output")
-        if reverse:
-            p.add_argument(
-                "--reverse-order",
-                action="store_true",
-                help="flip every order atom before processing (dual instance)",
-            )
+    def command(name, func, help, *flags):
+        """A subcommand taking the given store-true flags from _FLAG_HELP."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(f"--{flag}", action="store_true", help=_FLAG_HELP[flag])
+        return p
 
-    p = sub.add_parser("solve", help="decide an instance with the clause-deriving solver")
+    p = command("solve", _cmd_solve, "decide an instance with the clause-deriving solver",
+                "json", "reverse-order")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("brute", help="decide an instance by game-tree search")
+    p = command("brute", _cmd_brute, "decide an instance by game-tree search",
+                "json", "quiet", "reverse-order", "emit-strategy")
     p.add_argument("file")
     p.add_argument("--max-vars", type=int, default=12)
     p.add_argument("--max-nodes", type=int, default=100_000_000)
-    p.add_argument("--emit-strategy", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_brute)
 
-    p = sub.add_parser("derive", help="saturate the proof system and dump its facts")
+    p = command("derive", _cmd_derive, "saturate the proof system and dump its facts",
+                "json", "quiet", "reverse-order")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=10**6)
-    common(p)
-    p.set_defaults(func=_cmd_derive)
 
-    p = sub.add_parser("classify", help="analyse relation files")
+    p = command("classify", _cmd_classify, "analyse relation files", "json")
     p.add_argument("files", nargs="+")
-    common(p, reverse=False)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("compile", help="compile an instance to pure M+ form")
+    p = command("compile", _cmd_compile, "compile an instance to pure M+ form", "reverse-order")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    common(p)
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("reduce-3cnf", help="emit the complement-of-SAT gadget")
+    p = command("reduce-3cnf", _cmd_reduce, "emit the complement-of-SAT gadget")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("verify-strategy", help="play the derived strategy against all moves")
+    p = command("verify-strategy", _cmd_verify_strategy,
+                "play the derived strategy against all moves", "quiet", "reverse-order")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=10**6)
-    common(p)
-    p.set_defaults(func=_cmd_verify_strategy)
 
-    p = sub.add_parser("selftest", help="run reduced-size cross-validation suites")
+    p = command("selftest", _cmd_selftest, "run reduced-size cross-validation suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=200)
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

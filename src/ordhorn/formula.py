@@ -4,18 +4,27 @@ An instance is a quantifier prefix over named variables plus a CNF matrix of
 order atoms.  Two matrix dialects exist: the *general* dialect (clauses are
 disjunctions of atoms, produced by the parser) and the *solver* dialect
 (clauses are pivoted ``OhClause`` values, produced by :func:`normalize`).
+
+Atoms compare two variables; no atom mentions a constant.  :data:`HOLDS` is
+the atom semantics, and :class:`Atom` is the one place that knows how an
+operator reads with its operands swapped or negated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-#: Distinguished constant marker for the value 0.  Only classifier-internal
-#: formulas may mention it; instance files must not.
-ZERO = -1
+#: What ``a op b`` means, applied to the values (or ranks) of a and b.
+HOLDS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class ParseError(ValueError):
@@ -41,14 +50,25 @@ class Atom(NamedTuple):
     right: int
 
     def text(self, names: tuple) -> str:
-        l = names[self.left] if self.left != ZERO else "0"
-        r = names[self.right] if self.right != ZERO else "0"
-        return f"{l} {self.op} {r}"
+        return f"{names[self.left]} {self.op} {names[self.right]}"
+
+    def swapped(self) -> "Atom":
+        """The same constraint with its operands exchanged."""
+        return Atom(self.right, _FLIPPED[self.op], self.left)
+
+    def lower_first(self) -> "Atom":
+        """The same constraint over {=, !=, <, <=}: > and >= are swapped."""
+        return self.swapped() if self.op in (">", ">=") else self
+
+    def negated(self) -> "Atom":
+        """The complement of the constraint over a linear order."""
+        return Atom(self.left, _NEGATED[self.op], self.right)
 
 
 Clause = tuple  # tuple[Atom, ...]
 
 _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
+_NEGATED = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "=": "!=", "!=": "="}
 
 
 def flip_order(clauses) -> tuple:
@@ -140,13 +160,13 @@ def _expand_disjunct(tokens, line_no, col, declared, line):
     """
     from . import relations
 
-    if len(tokens) == 3 and tokens[1] in OPS:
+    if len(tokens) == 3 and tokens[1] in HOLDS:
         a, op, b = tokens
         for v in (a, b):
             if v not in declared:
                 raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
         return [(Atom(declared[a], op, declared[b]),)]
-    op = next((t for t in tokens[:2] if t in OPS), None)
+    op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
         raise ParseError(f"{problem} operand for {op!r}", line_no, col)
@@ -253,8 +273,8 @@ def parse_relation(text: str):
             if arity is not None:
                 raise ParseError("duplicate arity line", line_no, 1)
             try:
-                arity = int(tokens[1])
-            except (IndexError, ValueError):
+                (arity,) = map(int, tokens[1:])
+            except ValueError:
                 raise ParseError("malformed arity line", line_no, 1)
             if arity < 0:
                 raise ParseError("arity must not be negative", line_no, 1)
@@ -293,6 +313,14 @@ def print_instance(inst: QcspInstance) -> str:
 # normalization
 
 
+_GE_NE_FACTORS = {
+    "=": lambda a, b: [[("ge", a, b)], [("ge", b, a)]],
+    "!=": lambda a, b: [[("ne", a, b)]],
+    "<": lambda a, b: [[("ge", b, a)], [("ne", a, b)]],
+    "<=": lambda a, b: [[("ge", b, a)]],
+}
+
+
 def _ge_ne_product(clause):
     """Rewrite a clause over {=,!=,<,<=,>,>=} into clauses over ge/ne literals.
 
@@ -300,26 +328,10 @@ def _ge_ne_product(clause):
     so the result is a list of literal lists.  Literals are ("ge", a, b) for
     a >= b and ("ne", a, b) for a != b.
     """
-    factor_lists = []
-    for a in clause:
-        if a.left == ZERO or a.right == ZERO:
-            raise NotPivotedError("zero marker not allowed in instances")
-        if a.op == "!=":
-            factor_lists.append([[("ne", a.left, a.right)]])
-        elif a.op == ">=":
-            factor_lists.append([[("ge", a.left, a.right)]])
-        elif a.op == "<=":
-            factor_lists.append([[("ge", a.right, a.left)]])
-        elif a.op == "=":
-            factor_lists.append([[("ge", a.left, a.right)], [("ge", a.right, a.left)]])
-        elif a.op == ">":
-            factor_lists.append([[("ge", a.left, a.right)], [("ne", a.left, a.right)]])
-        elif a.op == "<":
-            factor_lists.append([[("ge", a.right, a.left)], [("ne", a.left, a.right)]])
-        else:
-            raise ParseError(f"unknown operator {a.op!r}")
     out = [[]]
-    for factors in factor_lists:
+    for atom in clause:
+        a = atom.lower_first()
+        factors = _GE_NE_FACTORS[a.op](a.left, a.right)
         out = [acc + f for acc in out for f in factors]
     return out
 

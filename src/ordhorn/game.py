@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .formula import QcspInstance
-from .orders import WeakOrder, _atom_holds
+from .formula import HOLDS, QcspInstance
+from .orders import WeakOrder
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,7 +67,7 @@ def _clause_status(clause, ranks, next_var):
     all_false = True
     for atom in clause:
         if atom.left < next_var and atom.right < next_var:
-            if _atom_holds(atom.op, ranks[atom.left], ranks[atom.right]):
+            if HOLDS[atom.op](ranks[atom.left], ranks[atom.right]):
                 return 1
         else:
             all_false = False

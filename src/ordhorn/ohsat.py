@@ -50,23 +50,12 @@ class UnsatResult:
 
 
 def _normalize_atoms(atoms):
-    eqs, les, lts, nes = [], [], [], []
-    for a in atoms:
-        if a.op == "=":
-            eqs.append((a.left, a.right))
-        elif a.op == "!=":
-            nes.append((a.left, a.right))
-        elif a.op == "<=":
-            les.append((a.left, a.right))
-        elif a.op == "<":
-            lts.append((a.left, a.right))
-        elif a.op == ">=":
-            les.append((a.right, a.left))
-        elif a.op == ">":
-            lts.append((a.right, a.left))
-        else:
-            raise ValueError(f"unknown atom operator {a.op!r}")
-    return eqs, les, lts, nes
+    """The atoms as (eqs, les, lts, nes) lists of pairs (a, b) for a op b."""
+    buckets = {"=": [], "<=": [], "<": [], "!=": []}
+    for atom in atoms:
+        a = atom.lower_first()
+        buckets[a.op].append((a.left, a.right))
+    return buckets["="], buckets["<="], buckets["<"], buckets["!="]
 
 
 def _tarjan_sccs(nodes, adj):
@@ -266,26 +255,10 @@ def oh_sat(conj: OhConjunction):
     return SatResult(_model_from_classes(reps, les, lts, fired_edges))
 
 
-_NEGATIONS = {
-    ">=": [("<",)],
-    "<=": [(">",)],
-    ">": [("<=",)],
-    "<": [(">=",)],
-    "!=": [("=",)],
-    "=": [("<",), (">",)],
-}
-
-
 def entails(conj: OhConjunction, atom: Atom) -> bool:
     """True iff the conjunction entails the atom over linear orders.
 
-    Checked as unsatisfiability of the conjunction with the negated atom;
-    negated equality splits into two oracle calls.
+    Checked as unsatisfiability of the conjunction with the negated atom,
+    in one oracle call (oh_sat decides a negated equality, !=, exactly).
     """
-    for (neg_op,) in _NEGATIONS[atom.op]:
-        extended = OhConjunction(
-            conj.n_vars, conj.clauses, conj.atoms + (Atom(atom.left, neg_op, atom.right),)
-        )
-        if oh_sat(extended):
-            return False
-    return True
+    return not oh_sat(OhConjunction(conj.n_vars, conj.clauses, conj.atoms + (atom.negated(),)))

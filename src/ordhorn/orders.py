@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .formula import ZERO, QfFormula
+from .formula import HOLDS, QfFormula
 
 SYMBOLIC_OPS = ("pp", "dual_pp", "ll", "dual_ll", "lex")
 
@@ -63,27 +63,9 @@ class WeakOrder:
         return cls(tuple(remap[v] for v in values))
 
 
-def _atom_holds(op: str, a: int, b: int) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
-def eval_clause(clause, ranks, zero_rank=None) -> bool:
+def eval_clause(clause, ranks) -> bool:
     for atom in clause:
-        a = ranks[atom.left] if atom.left != ZERO else zero_rank
-        b = ranks[atom.right] if atom.right != ZERO else zero_rank
-        if a is None or b is None:
-            raise ValueError("atom mentions the zero marker but the order carries none")
-        if _atom_holds(atom.op, a, b):
+        if HOLDS[atom.op](ranks[atom.left], ranks[atom.right]):
             return True
     return False
 
@@ -93,8 +75,7 @@ def eval_qf(f: QfFormula, w: WeakOrder) -> bool:
     if f.arity > w.n:
         raise ValueError(f"unassigned variable: formula arity {f.arity}, order over {w.n}")
     ranks = w.ranks
-    zr = w.zero_rank
-    return all(eval_clause(c, ranks, zr) for c in f.clauses)
+    return all(eval_clause(c, ranks) for c in f.clauses)
 
 
 def _rank_tuples(n: int) -> Iterator[tuple]:

@@ -108,7 +108,8 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         Returns "bottom" when refutation fires, else None."""
         nonlocal count
         mask &= ~_cut_mask(quants, ups, x, z)
-        assert mask & ~ups[0] == 0, "fact carries a non-universal variable"
+        if mask & ~ups[0]:
+            raise RuntimeError("fact carries a non-universal variable")
         bucket = minimal.setdefault((x, z), [])
         for m in bucket:
             if m & mask == m:
@@ -299,7 +300,8 @@ def ep_move(inst: QcspInstance, facts: FactBase, partial, x: int) -> Move:
     equality condition of the strategy holds there.
     """
     ranks = partial.ranks if hasattr(partial, "ranks") else tuple(partial)
-    assert len(ranks) == x, "all variables before x must be assigned"
+    if len(ranks) != x:
+        raise ValueError("all variables before x must be assigned")
     y0_levels = set()
     m = None
     for y in range(x):

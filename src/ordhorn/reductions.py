@@ -51,6 +51,8 @@ def parse_dimacs(text: str) -> Cnf3:
                 n, expected = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("malformed DIMACS header", line_no, 1)
+            if n < 0:
+                raise ParseError("negative variable count in DIMACS header", line_no, 1)
             continue
         if n is None:
             raise ParseError("clause before header", line_no, 1)
@@ -118,7 +120,9 @@ def reduce_3cnf_complement(cnf: Cnf3) -> QcspInstance:
     from repeated literals are kept so the size law is exact)."""
     inst = parse_instance(reduction_text(cnf))
     n, m = cnf.n, len(cnf.clauses)
-    assert inst.n_vars == 3 * n + m + 2, "variable-count law violated"
+    if inst.n_vars != 3 * n + m + 2:
+        raise RuntimeError("variable-count law violated")
     # the Z constraint expands into two clauses in the general dialect
-    assert len(inst.matrix) == 3 * n + 4 * m + 2, "constraint-count law violated"
+    if len(inst.matrix) != 3 * n + 4 * m + 2:
+        raise RuntimeError("constraint-count law violated")
     return inst

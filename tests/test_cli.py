@@ -148,6 +148,14 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
         assert "UTF-8" in err
 
 
+def test_negative_dimacs_variable_count_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "neg.cnf"
+    bad.write_text("p cnf -1 0\n")
+    code, out, err = run(capsys, "reduce-3cnf", bad)
+    assert code == 3
+    assert out == "" and "negative variable count" in err
+
+
 def test_syntax_error_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.qcsp"
     bad.write_text("qcsp v1\nE x1\nE x2\nC x1 >> x2\n")
@@ -182,6 +190,23 @@ def test_resource_limit_exit(capsys):
 def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.qcsp", "--quiet"],
+        ["classify", "x.rel", "--quiet"],
+        ["compile", "x.qcsp", "--json"],
+        ["compile", "x.qcsp", "--quiet"],
+        ["verify-strategy", "x.qcsp", "--json"],
+    ],
+)
+def test_flags_only_where_read(argv):
+    # a flag that a command would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

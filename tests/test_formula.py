@@ -66,6 +66,8 @@ def test_parse_errors():
         parse_relation("rel v1\narity 2\nC\n")
     with pytest.raises(ParseError, match="negative"):
         parse_relation("rel v1\narity -1\n")
+    with pytest.raises(ParseError, match="malformed arity line"):
+        parse_relation("rel v1\narity 2 3\nC x1 >= x2\n")
 
 
 def test_comments_and_blank_lines():

@@ -227,6 +227,17 @@ def test_ep_move_places_below_unrelated():
     assert ep_move(inst, facts, WeakOrder((0,)), 1) == Move("gap", 0)
 
 
+def test_ep_move_rejects_incomplete_prefix():
+    # the order must cover exactly the variables before x, also under -O
+    inst = make_instance("AE", [(1, [0], 0)])
+    facts = saturate(inst)
+    from ordhorn.orders import WeakOrder
+
+    for partial in (WeakOrder(()), WeakOrder((0, 1))):
+        with pytest.raises(ValueError, match="before x must be assigned"):
+            ep_move(inst, facts, partial, 1)
+
+
 def test_strategy_wins_running_tournaments():
     rng = random.Random(3434)
     wins = 0
