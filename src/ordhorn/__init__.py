@@ -21,7 +21,7 @@ from .formula import (
 )
 from .game import Move, brute_solve, play_against
 from .ohsat import OhConjunction, entails, oh_sat
-from .orders import WeakOrder, apply_op, enumerate_weak_orders, eval_qf, sat_exists
+from .orders import WeakOrder, apply_op, enumerate_weak_orders, eval_qf
 from .proofsystem import FactBase, check_cover, ep_move, saturate
 from .relations import TemporalRelation, catalogue
 from .solver import Verdict, compile_to_mplus, cut_set, solve, up_set
@@ -55,7 +55,6 @@ __all__ = [
     "parse_relation",
     "play_against",
     "print_instance",
-    "sat_exists",
     "saturate",
     "solve",
     "up_set",

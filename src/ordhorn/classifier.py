@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Atom, QfFormula, flip_order
+from .formula import Atom, QcspInstance, QfFormula, flip_order
+from .game import brute_solve
 from .orders import (
     ArityTooLarge,
     WeakOrder,
@@ -273,9 +274,6 @@ class QuantifiedFormula:
     block: tuple
     formula: QfFormula
 
-    def n_exists(self):
-        return sum(1 for q in self.block if q == "E")
-
 
 def pp_def_mplus(k: int) -> QuantifiedFormula:
     """The recursive pp-definition of the (k+2)-ary relation
@@ -313,48 +311,18 @@ def mu_relation(k: int):
     return relation_of(QfFormula(k + 2, (clause,)))
 
 
-def projected_relation(q: QuantifiedFormula):
-    """Relation of an existential-block formula over the free positions."""
-    if any(b != "E" for b in q.block):
-        raise ValueError("only existential blocks can be projected by enumeration")
-    return relation_of(q.formula, n_exists=len(q.block))
-
-
-def relation_via_game(q: QuantifiedFormula):
-    """Relation of a quantified-block formula over the free positions.
-
-    Decided one order type at a time by the game oracle; sound because the
-    defined relation is a union of complete order types, so membership of
-    one realizing tuple settles the whole type.
-    """
-    from .formula import QcspInstance
-    from .game import brute_solve
-
-    names = tuple(f"v{i}" for i in range(q.formula.arity))
-    quants = tuple(["E"] * q.free_arity) + q.block
-    out = set()
-    for w in enumerate_weak_orders(q.free_arity):
-        type_clauses = []
-        for i in range(q.free_arity):
-            for j in range(i + 1, q.free_arity):
-                if w.ranks[i] == w.ranks[j]:
-                    type_clauses.append((Atom(i, "=", j),))
-                elif w.ranks[i] < w.ranks[j]:
-                    type_clauses.append((Atom(i, "<", j),))
-                else:
-                    type_clauses.append((Atom(i, ">", j),))
-        inst = QcspInstance(names, quants, tuple(type_clauses) + q.formula.clauses)
-        if brute_solve(inst).value:
-            out.add(w.ranks)
-    return out
-
-
 def gadget_relation(q: QuantifiedFormula):
-    """Relation of a gadget, projecting existential blocks directly and
-    falling back to the game oracle for universal ones."""
-    if all(b == "E" for b in q.block):
-        return projected_relation(q)
-    return relation_via_game(q)
+    """Relation of a quantified formula over its free positions.
+
+    One game-oracle call per order type of the free positions: ``brute_solve``
+    starts with the free variables placed at that type and plays the
+    quantifier block.  This is sound because the defined relation is a union
+    of complete order types, so one realizing tuple settles the whole type.
+    """
+    names = tuple(f"v{i}" for i in range(q.formula.arity))
+    inst = QcspInstance(names, ("E",) * q.free_arity + q.block, q.formula.clauses)
+    types = enumerate_weak_orders(q.free_arity)
+    return {w.ranks for w in types if brute_solve(inst, prefix=w.ranks).value}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ operator reads with its operands swapped or negated.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -152,20 +153,24 @@ class QcspInstance:
 # parsing
 
 
-def _expand_disjunct(tokens, line_no, col, declared, line):
+def _expand_disjunct(tokens, line_no, col, resolve, line):
     """Expand one disjunct into a CNF (list of atom clauses).
 
     A plain atom yields one single-atom clause; a named relation application
     yields the relation's defining clauses instantiated at the arguments.
+    ``resolve`` maps a variable name to its index, or to None if undeclared.
     """
     from . import relations
 
+    def index(v):
+        ix = resolve(v)
+        if ix is None:
+            raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
+        return ix
+
     if len(tokens) == 3 and tokens[1] in HOLDS:
         a, op, b = tokens
-        for v in (a, b):
-            if v not in declared:
-                raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
-        return [(Atom(declared[a], op, declared[b]),)]
+        return [(Atom(index(a), op, index(b)),)]
     op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
@@ -173,28 +178,24 @@ def _expand_disjunct(tokens, line_no, col, declared, line):
     if len(tokens) >= 2 and all(ch in "=!<>" for ch in tokens[1]):
         raise ParseError(f"unknown operator {tokens[1]!r}", line_no, line.find(tokens[1]) + 1)
     name = tokens[0]
-    rel = relations.lookup(name)
-    if rel is None:
+    arity = relations.arity_of(name)
+    if arity is None:
         if all(ch in "=!<>" for ch in name):
             raise ParseError(f"unknown operator {name!r}", line_no, col)
         raise ParseError(f"unknown relation {name!r}", line_no, col)
     args = tokens[1:]
-    if len(args) != rel.arity:
+    if len(args) != arity:
         raise ParseError(
-            f"relation {name} expects {rel.arity} arguments, got {len(args)}", line_no, col
+            f"relation {name} expects {arity} arguments, got {len(args)}", line_no, col
         )
-    arg_ix = []
-    for v in args:
-        if v not in declared:
-            raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
-        arg_ix.append(declared[v])
+    arg_ix = [index(v) for v in args]
     out = []
-    for clause in rel.defn.clauses:
+    for clause in relations.lookup(name).defn.clauses:
         out.append(tuple(Atom(arg_ix[a.left], a.op, arg_ix[a.right]) for a in clause))
     return out
 
 
-def _parse_clause_line(body, line_no, declared, line):
+def _parse_clause_line(body, line_no, resolve, line):
     """Parse the body of a ``C`` line into general clauses.
 
     Disjuncts whose expansion is itself a conjunction distribute over the
@@ -206,7 +207,7 @@ def _parse_clause_line(body, line_no, declared, line):
     expansions = []
     for part in parts:
         col = line.find(part) + 1
-        expansions.append(_expand_disjunct(part.split(), line_no, col, declared, line))
+        expansions.append(_expand_disjunct(part.split(), line_no, col, resolve, line))
     clauses = [()]
     for exp in expansions:
         clauses = [acc + extra for acc in clauses for extra in exp]
@@ -242,7 +243,7 @@ def parse_instance(text: str) -> QcspInstance:
             body = line.split(None, 1)
             if len(body) < 2:
                 raise ParseError("empty clause", line_no, 1)
-            matrix.extend(_parse_clause_line(body[1], line_no, declared, line))
+            matrix.extend(_parse_clause_line(body[1], line_no, declared.get, line))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no, 1)
     if not header_seen:
@@ -250,13 +251,22 @@ def parse_instance(text: str) -> QcspInstance:
     return QcspInstance(tuple(names), tuple(quants), tuple(matrix))
 
 
+_POSITION = re.compile(r"x([1-9][0-9]*)")
+
+
 def parse_relation(text: str):
     """Parse a relation-definition file into a TemporalRelation."""
     from .relations import TemporalRelation
 
+    def position(v):
+        """Position of the name x1..x<arity>, found without a table of them."""
+        m = _POSITION.fullmatch(v)
+        if m and len(m[1]) <= len(str(arity)) and int(m[1]) <= arity:
+            return int(m[1]) - 1
+        return None
+
     arity = None
     clauses = []
-    declared = {}
     header_seen = False
     name = "rel"
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -278,7 +288,6 @@ def parse_relation(text: str):
                 raise ParseError("malformed arity line", line_no, 1)
             if arity < 0:
                 raise ParseError("arity must not be negative", line_no, 1)
-            declared = {f"x{i + 1}": i for i in range(arity)}
         elif tokens[0] == "name":
             if len(tokens) != 2:
                 raise ParseError("expected one relation name", line_no, 1)
@@ -289,7 +298,7 @@ def parse_relation(text: str):
             if len(tokens) < 2:
                 raise ParseError("empty clause", line_no, 1)
             body = line.split(None, 1)[1]
-            clauses.extend(_parse_clause_line(body, line_no, declared, line))
+            clauses.extend(_parse_clause_line(body, line_no, position, line))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", line_no, 1)
     if not header_seen:

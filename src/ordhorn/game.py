@@ -79,11 +79,19 @@ def brute_solve(
     max_vars: int = 12,
     max_nodes: int = 100_000_000,
     emit_strategy: bool = False,
+    prefix: tuple = (),
 ) -> GameVerdict:
-    """Minimax over order types: true iff the existential player can win."""
+    """Minimax over order types: true iff the existential player can win.
+
+    ``prefix`` gives dense ranks to the first ``len(prefix)`` variables: play
+    starts with them placed in that order type, whatever their quantifiers.
+    """
     n = inst.n_vars
     if n > max_vars:
         raise ResourceLimitError(f"instance has {n} variables, limit {max_vars}")
+    n_levels = len(set(prefix))
+    if len(prefix) > n or set(prefix) != set(range(n_levels)):
+        raise ValueError(f"prefix {tuple(prefix)} is not dense ranks for at most {n} variables")
     matrix = inst.general_matrix()
     quants = inst.quants
     clause_vars = [sorted({v for a in c for v in (a.left, a.right)}) for c in matrix]
@@ -143,7 +151,8 @@ def brute_solve(
             memo[key] = value
         return (value, strat if value else None)
 
-    value, strat = search(0, [None] * n, 0, list(range(len(matrix))))
+    ranks = list(prefix) + [None] * (n - len(prefix))
+    value, strat = search(len(prefix), ranks, n_levels, list(range(len(matrix))))
     return GameVerdict(value, nodes, strat if (emit_strategy and value) else None)
 
 

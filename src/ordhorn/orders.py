@@ -5,6 +5,9 @@ so rational assignments are represented by weak orders: dense integer ranks
 per position, optionally with a marked rank for the constant 0.  The basic
 operations of the classification are applied symbolically on these ranks;
 the concrete endomorphisms e_{<0}, e_{>0} are never constructed.
+Only quantifier-free formulas are evaluated here; a relation defined with
+quantified auxiliary variables is decided one order type at a time by the
+game search (``classifier.gadget_relation`` over ``game.brute_solve``).
 """
 
 from __future__ import annotations
@@ -151,70 +154,6 @@ def apply_op(op: str, t1: WeakOrder, t2: WeakOrder) -> WeakOrder:
     return WeakOrder(tuple(order[k] for k in keys))
 
 
-def sat_exists(f: QfFormula, bound: dict, free) -> Optional[WeakOrder]:
-    """Extend a partial weak order on ``bound`` by the ``free`` positions so
-    that ``f`` holds, or return None.
-
-    ``bound`` maps positions to dense ranks.  Used to evaluate existential
-    projections over order types.
-    """
-    free = list(free)
-    if len(free) > 6:
-        raise ArityTooLarge("too many free positions for exhaustive extension")
-    if set(bound) | set(free) != set(range(f.arity)):
-        raise ValueError("bound and free positions must cover the formula's variables")
-    base = [None] * f.arity
-    for v, r in bound.items():
-        base[v] = r
-    # clauses become checkable once their last variable is placed
-    placed_after = {v: i for i, v in enumerate(free)}
-    check_at = [[] for _ in range(len(free) + 1)]
-    for clause in f.clauses:
-        stage = max((placed_after.get(a.left, -1) for a in clause), default=-1)
-        stage = max(
-            stage, max((placed_after.get(a.right, -1) for a in clause), default=-1)
-        )
-        check_at[stage + 1].append(clause)
-
-    def rec(i, ranks, n_levels):
-        for clause in check_at[i]:
-            if not eval_clause(clause, ranks):
-                return None
-        if i == len(free):
-            return WeakOrder(tuple(ranks))
-        v = free[i]
-        for lev in range(n_levels):  # join an existing level
-            ranks2 = list(ranks)
-            ranks2[v] = lev
-            got = rec(i + 1, ranks2, n_levels)
-            if got is not None:
-                return got
-        for gap in range(n_levels + 1):  # open a new level
-            ranks2 = [r if (r is None or r < gap) else r + 1 for r in ranks]
-            ranks2[v] = gap
-            got = rec(i + 1, ranks2, n_levels + 1)
-            if got is not None:
-                return got
-        return None
-
-    n_levels = (max(bound.values()) + 1) if bound else 0
-    return rec(0, base, n_levels)
-
-
-def relation_of(f: QfFormula, n_exists: int = 0):
-    """The set of rank tuples (on the free prefix) satisfying ∃-projected f.
-
-    The formula's variables are the free positions 0..arity-n_exists-1
-    followed by n_exists existentially bound ones.
-    """
-    free_arity = f.arity - n_exists
-    out = set()
-    for w in enumerate_weak_orders(free_arity):
-        if n_exists == 0:
-            if eval_qf(f, w):
-                out.add(w.ranks)
-        else:
-            bound = {i: w.ranks[i] for i in range(free_arity)}
-            if sat_exists(f, bound, range(free_arity, f.arity)) is not None:
-                out.add(w.ranks)
-    return out
+def relation_of(f: QfFormula):
+    """The set of rank tuples whose order type satisfies the quantifier-free f."""
+    return {w.ranks for w in enumerate_weak_orders(f.arity) if eval_qf(f, w)}

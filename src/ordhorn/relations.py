@@ -63,22 +63,28 @@ ALIASES = {
     "SM<": "SSM",
 }
 
-_NAE = re.compile(r"^NAE(\d+)$")
+# at most 9 digits: no argument list in a file could match a larger arity
+_NAE = re.compile(r"^NAE(\d{1,9})$")
+
+
+def arity_of(name: str) -> Optional[int]:
+    """Arity of a relation name, or None if unknown; builds no clauses."""
+    name = ALIASES.get(name, name)
+    if name in _CATALOGUE:
+        return _CATALOGUE[name].arity
+    m = _NAE.match(name)
+    k = int(m.group(1)) if m else 0
+    return k if k >= 2 else None
 
 
 def lookup(name: str) -> Optional[TemporalRelation]:
     """Resolve a relation name, or None if unknown."""
+    k = arity_of(name)
     name = ALIASES.get(name, name)
-    if name in _CATALOGUE:
-        return _CATALOGUE[name]
-    m = _NAE.match(name)
-    if m:
-        k = int(m.group(1))
-        if k < 2:
-            return None
-        clause = tuple(Atom(0, "!=", i) for i in range(1, k))
-        return TemporalRelation(k, QfFormula(k, (clause,)), name)
-    return None
+    if k is None or name in _CATALOGUE:
+        return _CATALOGUE.get(name)
+    clause = tuple(Atom(0, "!=", i) for i in range(1, k))
+    return TemporalRelation(k, QfFormula(k, (clause,)), name)
 
 
 def catalogue(name: str) -> TemporalRelation:

@@ -40,7 +40,6 @@ class DerivationEvent:
 @dataclass
 class Verdict:
     value: bool
-    derived: list
     log: list
     rejecting_clause: Optional[OhClause]
     rejecting_pair: Optional[tuple]
@@ -48,6 +47,11 @@ class Verdict:
     passes: int
     clause_keys: frozenset
     names: tuple
+
+    @property
+    def derived(self) -> list:
+        """Clauses of the non-duplicate log events, in derivation order."""
+        return [e.clause for e in self.log if not e.duplicate]
 
     def to_json_dict(self):
         return {
@@ -130,7 +134,6 @@ def solve(inst: QcspInstance) -> Verdict:
     by_pivot = {}
     edge_list = []
     pair_slot = {}
-    units = set()
 
     def add_clause(c: OhClause, derived_pair=False) -> bool:
         k = c.key()
@@ -141,7 +144,6 @@ def solve(inst: QcspInstance) -> Verdict:
         for p in c.partners:
             m |= 1 << p
         if c.is_unit():
-            units.add((c.pivot, c.target))
             edge_list.append((c.target, c.pivot))
             slot = pair_slot.get((c.pivot, c.target))
             if slot is not None:
@@ -168,13 +170,13 @@ def solve(inst: QcspInstance) -> Verdict:
     for c in inst.matrix:
         add_clause(c)
 
-    derived = []
+    n_derived = 0
     log = []
     oracle_calls = 0
     known = {}
 
     def rejects(x, z) -> bool:
-        return x < z and quants[z] == "A" and ((x, z) in units or (z, x) in units)
+        return x < z and quants[z] == "A" and ((x, (), z) in clauses or (z, (), x) in clauses)
 
     def probe(x, z, mask) -> bool:
         """True iff phi with x equated to the masked set and x < z is UNSAT."""
@@ -189,7 +191,7 @@ def solve(inst: QcspInstance) -> Verdict:
     def false_verdict(x, z):
         unit = clauses.get((x, (), z)) or clauses.get((z, (), x))
         return Verdict(
-            False, derived, log, unit, (x, z), oracle_calls, pass_no,
+            False, log, unit, (x, z), oracle_calls, pass_no,
             frozenset(clauses), inst.names,
         )
 
@@ -229,16 +231,16 @@ def solve(inst: QcspInstance) -> Verdict:
                         fresh = add_clause(c, derived_pair=True)
                         log.append(DerivationEvent(pass_no, x, z, u, c, not fresh))
                         if fresh:
-                            derived.append(c)
+                            n_derived += 1
                             changed = True
-                            if len(derived) > n * n * (n + 1):
+                            if n_derived > n * n * (n + 1):
                                 raise RuntimeError("derived-clause bound violated")
                             if c.is_unit() and rejects(x, z):
                                 return false_verdict(x, z)
                     lo = s
                 known[(x, z)] = lo
     return Verdict(
-        True, derived, log, None, None, oracle_calls, pass_no, frozenset(clauses), inst.names
+        True, log, None, None, oracle_calls, pass_no, frozenset(clauses), inst.names
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ordhorn.classifier import (
     HypothesisError,
+    QuantifiedFormula,
     VERDICT_HARD,
     VERDICT_P,
     classify,
@@ -18,13 +19,12 @@ from ordhorn.classifier import (
     oh_shape,
     pp_def_mplus,
     ppsynt_shape,
-    projected_relation,
-    relation_via_game,
     reverse,
     short_tool_gadget,
     verify_sandwich,
 )
 from ordhorn.formula import Atom, QfFormula
+from ordhorn.game import ResourceLimitError
 from ordhorn.orders import WeakOrder, apply_op, eval_qf, relation_of
 from ordhorn.relations import TemporalRelation, catalogue
 
@@ -241,7 +241,7 @@ def test_pp_def_k2_structure():
 
 def test_pp_def_projections():
     for k in (1, 2, 3):
-        assert projected_relation(pp_def_mplus(k)) == mu_relation(k)
+        assert gadget_relation(pp_def_mplus(k)) == mu_relation(k)
 
 
 # --- sandwiches and gadgets ----------------------------------------------------
@@ -276,6 +276,12 @@ def test_table_sandwiches():
     assert verify_sandwich(catalogue("GSN"), catalogue("GSN"), catalogue("NEQ2"))
 
 
+def test_gadget_relation_size_guard():
+    q = QuantifiedFormula(1, ("E",) * 12, QfFormula(13, ()))
+    with pytest.raises(ResourceLimitError):
+        gadget_relation(q)
+
+
 def test_item1_le():
     q = short_tool_gadget(1, which="le")
     assert gadget_relation(q) == relation_of(QfFormula(2, ((Atom(0, "<=", 1),),)))
@@ -284,12 +290,12 @@ def test_item1_le():
 def test_item1_ne_via_game():
     q = short_tool_gadget(1, which="ne")
     assert q.block == ("A",)
-    assert relation_via_game(q) == relation_of(QfFormula(2, ((Atom(0, "!=", 1),),)))
+    assert gadget_relation(q) == relation_of(QfFormula(2, ((Atom(0, "!=", 1),),)))
 
 
 def test_item1_lt_via_game():
     q = short_tool_gadget(1, which="lt")
-    assert relation_via_game(q) == relation_of(QfFormula(2, ((Atom(0, "<", 1),),)))
+    assert gadget_relation(q) == relation_of(QfFormula(2, ((Atom(0, "<", 1),),)))
 
 
 def test_item2_separated_m_to_strict():

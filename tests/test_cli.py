@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordhorn.cli import main
 
@@ -220,3 +221,19 @@ def test_quiet_flag(capsys):
     code, out, _ = run(capsys, "derive", FIXTURES / "chain2.qcsp", "--quiet")
     assert code == 0
     assert out.strip() == "no bottom"
+
+
+_FILE_COMMANDS = ("solve", "brute", "derive", "classify", "compile", "reduce-3cnf",
+                  "verify-strategy")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    head=st.sampled_from([b"", b"qcsp v1\nE x\nA y\n", b"rel v1\narity 3\n", b"p cnf 3 1\n"]),
+    body=st.binary(max_size=80),
+)
+def test_any_bytes_exit_cleanly(tmp_path_factory, head, body):
+    path = tmp_path_factory.mktemp("bytes") / "input"
+    path.write_bytes(head + body)
+    for command in _FILE_COMMANDS:
+        assert main([command, str(path)]) in (0, 3, 4), command

@@ -1,6 +1,7 @@
 """Parsing, printing, and normalization."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from ordhorn.formula import (
     print_instance,
 )
 from ordhorn.game import brute_solve
+from ordhorn.reductions import parse_dimacs
 
 from conftest import make_general, random_general_instance
 
@@ -54,6 +56,8 @@ def test_parse_errors():
         parse_instance("qcsp v1\nE x\nA x\n")
     with pytest.raises(ParseError, match="unknown relation"):
         parse_instance("qcsp v1\nE x\nC FOO x\n")
+    with pytest.raises(ParseError, match="unknown relation"):
+        parse_instance("qcsp v1\nE x\nC NAE" + "1" * 5000 + " x x\n")
     with pytest.raises(ParseError, match="missing operand for '<'"):
         parse_instance("qcsp v1\nE x\nC x <\n")
     with pytest.raises(ParseError, match="missing operand for '>='"):
@@ -226,3 +230,85 @@ def test_parse_relation_errors():
         parse_relation("arity 3\n")
     with pytest.raises(ParseError, match="arity must precede"):
         parse_relation("rel v1\nC x1 >= x1\n")
+    for name in ("x0", "x4", "x01", "x" + "1" * 5000, "y1"):
+        with pytest.raises(ParseError, match="undeclared variable"):
+            parse_relation(f"rel v1\narity 3\nC x1 >= {name}\n")
+
+
+# --- parse cost and grammar fuzzing -------------------------------------------
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_relation_arity_is_checked_before_expansion():
+    # the argument count is compared with NAE's arity before any clause exists
+    def parse():
+        with pytest.raises(ParseError, match="expects 1000000 arguments, got 2"):
+            parse_instance("qcsp v1\nE x\nE y\nC NAE1000000 x y\n")
+
+    assert _peak_bytes(parse) < 5 * 2**20
+
+
+def test_position_names_need_no_table_of_the_arity():
+    def parse():
+        rel = parse_relation("rel v1\narity 1000000\nC x1 >= x1000000\n")
+        assert rel.defn.clauses == ((Atom(0, ">=", 999999),),)
+
+    assert _peak_bytes(parse) < 5 * 2**20
+
+
+_NAMES = ("x", "y", "x1", "x2", "x3", "x0", "x01", "x4000000")
+_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_RELATIONS = ("M+", "GSN", "Dis", "NAE2", "NAE3", "NAE0", "NAE1", "NOPE", "NAE4000000")
+_WORDS = _NAMES + _OPS + _RELATIONS + (
+    "qcsp", "rel", "v1", "p", "cnf", "c", "E", "A", "C", "arity", "name", "#", "|", "=<", ">>",
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    """A header and lines shaped like one file format's directives, with
+    loose tokens mixed in; the names, relations and operators include
+    undeclared, unknown and malformed ones."""
+    integer = st.integers(-(10**7), 10**7).map(str)
+    name = st.sampled_from(_NAMES)
+    atom = st.tuples(name, st.sampled_from(_OPS), name).map(" ".join)
+    application = st.tuples(st.sampled_from(_RELATIONS), st.lists(name, max_size=4)).map(
+        lambda t: " ".join((t[0], *t[1]))
+    )
+    clause = st.lists(st.one_of(atom, application), min_size=1, max_size=3).map(
+        lambda ds: "C " + " | ".join(ds)
+    )
+    loose = st.lists(st.one_of(st.sampled_from(_WORDS), integer), max_size=7).map(" ".join)
+    header, directives = draw(
+        st.sampled_from(
+            [
+                ("qcsp v1", [st.tuples(st.sampled_from("EA"), name).map(" ".join), clause]),
+                ("rel v1", [st.integers(-1, 4).map(lambda k: f"arity {k}"), clause]),
+                ("p cnf 3 2", [st.lists(st.integers(-4, 4).map(str), max_size=4).map(
+                    lambda ls: " ".join(ls + ["0"]))]),
+            ]
+        )
+    )
+    line = st.one_of(*directives, *directives, loose)
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(loose)
+    return "\n".join([header] + lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(grammar_texts())
+def test_parsers_accept_or_raise_parse_error(text):
+    for parse in (parse_instance, parse_relation, parse_dimacs):
+        try:
+            parse(text)
+        except ParseError:
+            pass

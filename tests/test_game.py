@@ -1,5 +1,6 @@
 """The brute-force game oracle and the adversary harness."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import ordhorn.game as game
 from ordhorn.formula import Atom, normalize, parse_instance
 from ordhorn.game import Move, ResourceLimitError, brute_solve, play_against
 from ordhorn.generators import random_mplus_instance
+from ordhorn.orders import enumerate_weak_orders
 
 from conftest import make_general, make_instance, random_general_instance
 
@@ -148,3 +150,41 @@ def test_leaf_evaluation_invariant_under_realization():
                 values = tuple(cuts[r] for r in w.ranks)
                 again = WeakOrder.from_values(values)
                 assert all(eval_clause(c, again.ranks) for c in matrix) == by_type
+
+
+def _pinned(inst, ranks):
+    """Reference for a placed prefix: the first len(ranks) variables become
+    existential and C(k,2) unit clauses pin their order type."""
+    k = len(ranks)
+    pins = []
+    for i, j in itertools.combinations(range(k), 2):
+        op = "=" if ranks[i] == ranks[j] else ("<" if ranks[i] < ranks[j] else ">")
+        pins.append((Atom(i, op, j),))
+    quants = ("E",) * k + inst.quants[k:]
+    return inst.__class__(inst.names, quants, tuple(pins) + inst.general_matrix())
+
+
+def test_prefix_matches_pinned_order_type():
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(150):
+        if rng.random() < 0.5:
+            inst = random_general_instance(rng, max_vars=7, max_clauses=4)
+        else:
+            inst = random_mplus_instance(rng, max_vars=7, max_clauses=4)
+        k = rng.randint(0, min(inst.n_vars, 4))
+        types = list(enumerate_weak_orders(k))
+        for w in rng.sample(types, min(len(types), 4)):
+            expected = brute_solve(_pinned(inst, w.ranks)).value
+            assert brute_solve(inst, prefix=w.ranks).value == expected, (w.ranks, inst)
+            checked += 1
+    assert checked > 300
+
+
+def test_prefix_must_be_dense_and_fit():
+    inst = make_general("EE", [[(1, ">", 0)]])
+    assert brute_solve(inst, prefix=(1, 0)).value is False
+    assert brute_solve(inst, prefix=(0, 1)).value is True
+    for bad in ((0, 2), (1,), (1, 1), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            brute_solve(inst, prefix=bad)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ordhorn.classifier import QuantifiedFormula, gadget_relation
 from ordhorn.formula import Atom, QfFormula
 from ordhorn.orders import (
     ArityTooLarge,
@@ -15,7 +16,6 @@ from ordhorn.orders import (
     eval_qf,
     ordered_bell,
     relation_of,
-    sat_exists,
 )
 from ordhorn.relations import catalogue
 
@@ -66,27 +66,6 @@ def test_eval_invariant_under_realization():
             values = [cuts[r] for r in w.ranks]
             again = WeakOrder.from_values(values)
             assert eval_qf(rel, again) == expected
-
-
-# --- sat_exists ---------------------------------------------------------------
-
-
-def test_sat_exists_simple():
-    f = QfFormula(3, ((Atom(2, ">=", 0),), (Atom(2, ">=", 1),)))
-    got = sat_exists(f, {0: 0, 1: 1}, [2])
-    assert got is not None
-    assert got.ranks[2] >= got.ranks[1]
-
-
-def test_sat_exists_contradiction():
-    f = QfFormula(2, ((Atom(1, ">", 0),), (Atom(1, "<", 0),)))
-    assert sat_exists(f, {0: 0}, [1]) is None
-
-
-def test_sat_exists_guard():
-    f = QfFormula(8, ())
-    with pytest.raises(ArityTooLarge):
-        sat_exists(f, {0: 0}, range(1, 8))
 
 
 # --- apply_op -----------------------------------------------------------------
@@ -181,4 +160,5 @@ def test_oh_clauses_preserved_by_ll_sampled_arity4():
 def test_relation_of_projection():
     # exists h: (h >= x) and (h >= y) is trivially total
     f = QfFormula(3, ((Atom(2, ">=", 0),), (Atom(2, ">=", 1),)))
-    assert relation_of(f, n_exists=1) == {w.ranks for w in enumerate_weak_orders(2)}
+    q = QuantifiedFormula(2, ("E",), f)
+    assert gadget_relation(q) == {w.ranks for w in enumerate_weak_orders(2)}
