@@ -6,7 +6,7 @@ resulting complexity verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .formula import Atom, QcspInstance, QfFormula, flip_order
@@ -286,8 +286,7 @@ def pp_def_mplus(k: int) -> QuantifiedFormula:
     mplus = catalogue("M+").defn.clauses
 
     def app(a, b, c):
-        sub = {0: a, 1: b, 2: c}
-        return [tuple(Atom(sub[at.left], at.op, sub[at.right]) for at in cl) for cl in mplus]
+        return _subst(mplus, {0: a, 1: b, 2: c})
 
     clauses = []
     if k == 1:
@@ -463,20 +462,12 @@ class ClassReport:
     verdict: str
 
     def to_json_dict(self):
-        wit = {
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["witnesses"] = {
             op: {"t1": _levels(t1), "t2": _levels(t2)}
             for op, (t1, t2) in self.witnesses.items()
         }
-        return {
-            "oh_semantic": self.oh_semantic,
-            "oh_syntactic": self.oh_syntactic,
-            "pp_preserved": self.pp_preserved,
-            "dual_pp_preserved": self.dual_pp_preserved,
-            "ppsynt_shape": self.ppsynt_shape,
-            "goh_syntactic": self.goh_syntactic,
-            "witnesses": wit,
-            "verdict": self.verdict,
-        }
+        return out
 
 
 def _levels(w: WeakOrder):

@@ -128,27 +128,22 @@ def _cmd_classify(args):
     return EXIT_OK
 
 
-def _cmd_compile(args):
-    inst = _load_instance(args)
-    compiled = compile_to_mplus(normalize(inst))
-    text = print_instance(compiled)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write(text, output):
+    """Write to the ``-o`` file if one is given, else to stdout."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _cmd_compile(args):
+    return _write(print_instance(compile_to_mplus(normalize(_load_instance(args)))), args.output)
 
 
 def _cmd_reduce(args):
-    cnf = parse_dimacs(_read(args.file))
-    text = reduction_text(cnf)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write(reduction_text(parse_dimacs(_read(args.file))), args.output)
 
 
 def _cmd_verify_strategy(args):

@@ -91,12 +91,17 @@ class OhClause:
     optional order disjunct pivot >= target.
 
     The degenerate shapes carry meaning: empty partners with a target is a
-    unit order atom, empty partners without a target denotes falsity.
+    unit order atom, empty partners without a target denotes falsity.  The
+    pivot is dropped from ``partners``: pivot != pivot is a false disjunct.
     """
 
     pivot: int
     partners: frozenset
     target: Optional[int]
+
+    def __post_init__(self):
+        if self.pivot in self.partners:
+            object.__setattr__(self, "partners", self.partners - {self.pivot})
 
     def key(self):
         return (self.pivot, tuple(sorted(self.partners)), self.target)
@@ -385,8 +390,6 @@ def _to_oh_clause(lits, names) -> Optional[OhClause]:
             raise NotPivotedError("no common pivot among disequality disjuncts")
         pivot, target = min(candidates), None
     partners = frozenset(next(iter(pair - {pivot})) for pair in ne)
-    if pivot in partners:  # only for pairs {pivot, pivot}, already dropped
-        partners = partners - {pivot}
     return OhClause(pivot, partners, target)
 
 

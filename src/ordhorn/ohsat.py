@@ -4,8 +4,10 @@ The decision procedure is a merge/fire closure: equality atoms merge
 variables into classes, a clause *fires* once all its disequality partners
 sit in the pivot's class (contributing its order disjunct, or falsity), and
 strongly connected components of the resulting <=-graph collapse into single
-classes.  At the fixpoint, distinct classes receive distinct values, which
-satisfies every clause that never fired.
+classes.  At the fixpoint every component is a single class, so the last
+component pass is a topological order of the class graph; numbering the
+classes along it gives distinct classes distinct values, which satisfies
+every clause that never fired.
 
 There is one closure engine, :func:`closure`, shared by :func:`oh_sat` and
 the solver.  It indexes clauses by pivot and re-examines a clause only when
@@ -59,7 +61,8 @@ def _normalize_atoms(atoms):
 
 
 def _tarjan_sccs(nodes, adj):
-    """Iterative Tarjan; returns the list of SCCs (each a list of nodes)."""
+    """Iterative Tarjan; returns the list of SCCs (each a list of nodes),
+    each SCC after every SCC it reaches."""
     index = {}
     low = {}
     on_stack = set()
@@ -115,10 +118,12 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
     besides its pivot (partner-free clauses are passed as ``les`` edges
     (target, pivot) instead), and ``by_pivot`` maps each pivot variable to
     its clause ids: a round re-examines only the clauses whose pivot class
-    grew.  Returns (reps, members, None, fired_edges) on success, with
-    reps[v] the class representative of variable v and members[r] the class
-    bitmask of representative r, or (None, None, certificate, None) on
-    refutation, the certificate being the merge/fire event sequence.
+    grew.  Returns (reps, sccs, None, fired_edges) on success, with reps[v]
+    the class representative of variable v and sccs the last round's
+    components of the class graph: one [r] per class, each after every class
+    it must not exceed, so the highest class comes first.  On refutation it
+    returns (None, None, certificate, None), the certificate being the
+    merge/fire event sequence.
     """
     parent = list(range(n))
     members = [1 << i for i in range(n)]
@@ -179,7 +184,8 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
             for a, b in edges:
                 adj.setdefault(reps[a], set()).add(reps[b])
         merged = False
-        for comp in _tarjan_sccs(sorted(set(reps)), {k: sorted(v) for k, v in adj.items()}):
+        sccs = _tarjan_sccs(sorted(set(reps)), {k: sorted(v) for k, v in adj.items()})
+        for comp in sccs:
             if len(comp) > 1:
                 base = comp[0]
                 for other in comp[1:]:
@@ -195,36 +201,7 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
         if reps[a] == reps[b]:
             events.append(("forced-equal", a, b))
             return None, None, events, None
-    return reps, members, None, fired_edges
-
-
-def _model_from_classes(reps, les, lts, fired_edges):
-    """Strictly increasing levels along a topological order of the classes."""
-    import heapq
-
-    roots = sorted(set(reps))
-    succ = {r: set() for r in roots}
-    indeg = {r: 0 for r in roots}
-    for a, b in list(les) + list(lts) + list(fired_edges):
-        ra, rb = reps[a], reps[b]
-        if ra != rb and rb not in succ[ra]:
-            succ[ra].add(rb)
-            indeg[rb] += 1
-    heap = [r for r in roots if indeg[r] == 0]
-    heapq.heapify(heap)
-    rank = {}
-    level = 0
-    while heap:
-        r = heapq.heappop(heap)
-        rank[r] = level
-        level += 1
-        for s in sorted(succ[r]):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(heap, s)
-    if len(rank) != len(roots):
-        raise RuntimeError("class graph was not acyclic after closure")
-    return WeakOrder(tuple(rank[r] for r in reps))
+    return reps, sccs, None, fired_edges
 
 
 def oh_sat(conj: OhConjunction):
@@ -236,7 +213,6 @@ def oh_sat(conj: OhConjunction):
         m = 0
         for p in c.partners:
             m |= 1 << p
-        m &= ~(1 << c.pivot)  # pivot != pivot is a false disjunct
         target = c.target if c.target is not None else -1
         if m:
             by_pivot.setdefault(c.pivot, []).append(i)
@@ -247,12 +223,13 @@ def oh_sat(conj: OhConjunction):
         pivots.append(c.pivot)
         pmasks.append(m)
         targets.append(target)
-    reps, _, cert, fired_edges = closure(
+    reps, sccs, cert, _ = closure(
         conj.n_vars, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot
     )
     if reps is None:
         return UnsatResult(cert)
-    return SatResult(_model_from_classes(reps, les, lts, fired_edges))
+    level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
+    return SatResult(WeakOrder(tuple(level[r] for r in reps)))
 
 
 def entails(conj: OhConjunction, atom: Atom) -> bool:

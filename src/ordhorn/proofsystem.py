@@ -15,9 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import OhClause, QcspInstance
+from .formula import QcspInstance
 from .game import Move
-from .solver import DialectError, Verdict, _bits, _cut_mask, _upset_masks
+from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks
 
 
 class StrategyUndefinedError(RuntimeError):
@@ -70,10 +70,9 @@ class FactBase:
 
 def _orientations(matrix):
     """Pivot/partner orientations (u, v, z) of the matrix conjuncts."""
+    _check_dialect(matrix)
     out = []
     for c in matrix:
-        if not isinstance(c, OhClause) or len(c.partners) > 1 or c.target is None:
-            raise DialectError("saturation needs a pure M+ matrix (triples and units)")
         p = c.pivot
         q = next(iter(c.partners)) if c.partners else p
         out.append((p, q, c.target))

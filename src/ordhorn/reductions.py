@@ -47,6 +47,8 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("malformed DIMACS header", line_no, 1)
+            if n is not None:
+                raise ParseError("duplicate DIMACS header", line_no, 1)
             try:
                 n, expected = int(parts[2]), int(parts[3])
             except ValueError:
@@ -85,8 +87,11 @@ def parse_dimacs(text: str) -> Cnf3:
 
 def reduction_text(cnf: Cnf3) -> str:
     """The gadget in instance-file syntax, with the order-disequality
-    constraint kept as the named relation Z."""
+    constraint kept as the named relation Z.  The upper chain ties u to t
+    only through a clause, so a CNF without clauses is an input error."""
     n, m = cnf.n, len(cnf.clauses)
+    if m == 0:
+        raise ParseError("the 3-CNF has no clauses")
     lines = ["qcsp v1", "E t", "E f"]
     for i in range(1, n + 1):
         lines.append(f"A y{i}_0")

@@ -91,6 +91,38 @@ def test_classify_goh(capsys):
     assert json.loads(out)["verdict"] == "P"
 
 
+_CLASSIFY_JSON = {
+    "le.rel": {
+        "oh_semantic": True, "oh_syntactic": True, "pp_preserved": True,
+        "dual_pp_preserved": True, "ppsynt_shape": True, "goh_syntactic": True,
+        "witnesses": {}, "verdict": "P",
+    },
+    "mplus.rel": {
+        "oh_semantic": True, "oh_syntactic": True, "pp_preserved": True,
+        "dual_pp_preserved": False, "ppsynt_shape": True, "goh_syntactic": False,
+        "witnesses": {"dual_pp[0]": {"t1": [["1"], ["0"], ["2", "z"]], "t2": [["0", "1", "2"]]}},
+        "verdict": "P",
+    },
+    "sm.rel": {
+        "oh_semantic": True, "oh_syntactic": True, "pp_preserved": False,
+        "dual_pp_preserved": False, "ppsynt_shape": False, "goh_syntactic": False,
+        "witnesses": {
+            "pp[0]": {"t1": [["0", "1", "z"], ["2", "3"]], "t2": [["1", "2"], ["0", "3"]]},
+            "dual_pp[0]": {"t1": [["2", "3"], ["0", "1", "z"]], "t2": [["1", "2"], ["0", "3"]]},
+        },
+        "verdict": "coNP-hard-unless-GOH-definable",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASSIFY_JSON))
+def test_classify_json_bytes(capsys, name):
+    # key order and witnesses are part of the output format
+    code, out, _ = run(capsys, "classify", FIXTURES / name, "--json")
+    assert code == 0
+    assert out == json.dumps(_CLASSIFY_JSON[name], indent=2) + "\n"
+
+
 def test_compile_writes_pure_mplus(tmp_path, capsys):
     out_file = tmp_path / "compiled.qcsp"
     code, _, _ = run(capsys, "compile", FIXTURES / "reject-cascade.qcsp", "-o", out_file)
@@ -155,6 +187,18 @@ def test_negative_dimacs_variable_count_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "reduce-3cnf", bad)
     assert code == 3
     assert out == "" and "negative variable count" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("p cnf 2 0\n", "no clauses"), ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "duplicate DIMACS header")],
+)
+def test_reduce_writes_no_gadget_for_bad_cnf(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(text)
+    code, out, err = run(capsys, "reduce-3cnf", bad)
+    assert code == 3
+    assert out == "" and message in err
 
 
 def test_syntax_error_is_input_error(tmp_path, capsys):

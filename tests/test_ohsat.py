@@ -6,7 +6,7 @@ import random
 from ordhorn.formula import Atom, OhClause
 from ordhorn.generators import random_oh_conjunction
 from ordhorn.ohsat import OhConjunction, entails, oh_sat
-from ordhorn.orders import enumerate_weak_orders, eval_clause
+from ordhorn.orders import WeakOrder, enumerate_weak_orders, eval_clause
 
 from conftest import RUNNING_EXAMPLE
 from ordhorn.formula import parse_instance, normalize
@@ -157,9 +157,9 @@ def test_model_uses_distinct_levels_per_class():
 def test_closure_matches_weak_order_brute_force():
     """The closure engine under the solver's conventions (partner-free
     clauses as edges, retired entries, equality/strict/disequality atoms)
-    against weak-order brute force; SAT answers must come with classes and
-    fired edges that yield a model."""
-    from ordhorn.ohsat import _model_from_classes, closure
+    against weak-order brute force; SAT answers must come with a class order
+    that yields a model."""
+    from ordhorn.ohsat import closure
 
     rng = random.Random(909)
     orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
@@ -195,11 +195,13 @@ def test_closure_matches_weak_order_brute_force():
             + [Atom(a, "!=", b) for a, b in nes]
         )
         conj = OhConjunction(n, tuple(live), tuple(atoms))
-        reps, _, cert, fired = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes, by_pivot)
+        reps, sccs, cert, _ = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes, by_pivot)
         truth = any(model_satisfies(conj, w) for w in orders[n])
         assert (reps is not None) == truth, conj
         if reps is None:
             assert cert
         else:
             assert all(reps[reps[v]] == reps[v] for v in range(n))
-            assert model_satisfies(conj, _model_from_classes(reps, edges, lts, fired)), conj
+            # the class order, highest first, numbered downwards
+            level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
+            assert model_satisfies(conj, WeakOrder(tuple(level[r] for r in reps))), conj

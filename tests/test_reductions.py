@@ -36,6 +36,18 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
     with pytest.raises(ParseError, match="negative variable count"):
         parse_dimacs("p cnf -1 0\n")
+    with pytest.raises(ParseError, match="duplicate DIMACS header"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
+
+
+def test_gadget_needs_a_clause():
+    # the empty CNF is satisfiable, but without a clause the upper chain
+    # never ties u to t, so the gadget would come out true
+    cnf = parse_dimacs("p cnf 2 0\n")
+    assert cnf.truth_table_sat()
+    for build in (reduction_text, reduce_3cnf_complement):
+        with pytest.raises(ParseError, match="no clauses"):
+            build(cnf)
 
 
 def test_truth_table_oracle():

@@ -73,6 +73,15 @@ def test_solve_dialect_errors():
         solve(make_general("EE", [[(0, "!=", 1)]]))
 
 
+@pytest.mark.parametrize("quants", ["EE", "EA", "AE", "AA"])
+def test_pivot_listed_among_partners(quants):
+    # x != x | x >= y is the unit x >= y: the pivot is no partner
+    for pivot in (0, 1):
+        inst = make_instance(quants, [(pivot, [pivot], 1 - pivot)])
+        assert inst.matrix[0].is_unit()
+        assert solve(inst).value == brute_solve(inst).value, (quants, pivot)
+
+
 def test_verdict_json_shape(running_oh):
     verdict = solve(compile_to_mplus(running_oh))
     blob = json.loads(json.dumps(verdict.to_json_dict()))
