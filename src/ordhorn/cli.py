@@ -40,6 +40,14 @@ _FLAG_HELP = {
 }
 
 
+def non_negative_int(text):
+    """argparse type of the count and limit options."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -226,13 +234,16 @@ def build_parser():
     p = command("brute", _cmd_brute, "decide an instance by game-tree search",
                 "json", "quiet", "reverse-order", "emit-strategy")
     p.add_argument("file")
-    p.add_argument("--max-vars", type=int, default=12)
-    p.add_argument("--max-nodes", type=int, default=100_000_000)
+    p.add_argument("--max-vars", type=non_negative_int, default=12,
+                   help="refuse instances with more variables (exit 4; default %(default)s)")
+    p.add_argument("--max-nodes", type=non_negative_int, default=100_000_000,
+                   help="game-tree node budget (exit 4 past it; default %(default)s)")
 
     p = command("derive", _cmd_derive, "saturate the proof system and dump its facts",
                 "json", "quiet", "reverse-order")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=non_negative_int, default=10**6,
+                   help="stored-fact budget (exit 4 past it; default %(default)s)")
 
     p = command("classify", _cmd_classify, "analyse relation files", "json")
     p.add_argument("files", nargs="+")
@@ -248,11 +259,13 @@ def build_parser():
     p = command("verify-strategy", _cmd_verify_strategy,
                 "play the derived strategy against all moves", "quiet", "reverse-order")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=non_negative_int, default=10**6,
+                   help="stored-fact budget (exit 4 past it; default %(default)s)")
 
     p = command("selftest", _cmd_selftest, "run reduced-size cross-validation suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--rounds", type=non_negative_int, default=200,
+                   help="random instances and conjunctions per suite (default %(default)s)")
     return parser
 
 

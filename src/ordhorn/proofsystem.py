@@ -7,6 +7,12 @@ z".  Per pair (x, z) only the inclusion-minimal A-sets are stored: every
 rule conclusion is monotone in its premise sets, and both refutation and the
 strategy conditions only get easier for smaller A, so pruning is lossless.
 Saturation can still be exponential by design; a fact cap guards it.
+
+Join discipline: facts are queued as they are stored, and each combination
+of premises is joined once its last premise is dequeued, with the dequeued
+fact in every premise role it can fill.  Conclusions are inserted as they
+are generated, before the next one is formed; this fixes the stored order,
+and so which facts are stored when refutation or the cap stops saturation.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Optional
 
 from .formula import QcspInstance
 from .game import Move
+from .orders import WeakOrder
 from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks
 
 
@@ -87,10 +94,8 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
     quants = inst.quants
     univ = [q == "A" for q in quants]
     ups = _upset_masks(quants)
-    orientations = _orientations(inst.matrix)
-    prog_u = {}
-    prog_v = {}
-    for u, v, z in orientations:
+    prog_u, prog_v = {}, {}  # conjunct (u, v, z) indexed by u and by v
+    for u, v, z in _orientations(inst.matrix):
         prog_u.setdefault(u, []).append((v, z))
         prog_v.setdefault(v, []).append((u, z))
 
@@ -104,7 +109,7 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
 
     def insert(x, z, mask):
         """Simplify, prune by the antichain, store, and check refutation.
-        Returns "bottom" when refutation fires, else None."""
+        Returns "bottom" or "cap" when saturation must stop, else None."""
         nonlocal count
         mask &= ~_cut_mask(quants, ups, x, z)
         if mask & ~ups[0]:
@@ -113,12 +118,9 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         for m in bucket:
             if m & mask == m:
                 return None  # subsumed by a stored smaller set
-        removed = [m for m in bucket if m & mask == mask]
-        if removed:
-            bucket[:] = [m for m in bucket if m & mask != mask]
-            count -= len(removed)
-        bucket.append(mask)
-        count += 1
+        kept = [m for m in bucket if m & mask != mask] + [mask]
+        count += len(kept) - len(bucket)
+        bucket[:] = kept
         if count > cap:
             return "cap"
         by_first.setdefault(x, []).append((z, mask))
@@ -131,59 +133,20 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         queue.append((x, z, mask))
         return None
 
-    def stored(x, z, mask) -> bool:
-        return mask in minimal.get((x, z), ())
-
-    def conclude_alt(w1, w2, zc, a, b):
+    def alt(w1, w2, zc, a, b):
         """AltTrans conclusions for both choices of the surviving variable."""
-        outcomes = []
         if w2 == w1 or univ[w2]:
-            extra = 0 if w2 == w1 else 1 << w2
-            outcomes.append((w1, zc, a | b | extra))
+            yield w1, zc, a | b | (0 if w2 == w1 else 1 << w2)
         if w1 != w2 and univ[w1]:
-            outcomes.append((w2, zc, a | b | (1 << w1)))
-        for x, z, m in outcomes:
-            r = insert(x, z, m)
-            if r:
-                return r
-        return None
+            yield w2, zc, a | b | (1 << w1)
 
-    def conclude_prog(ws, a, b, zc):
-        """Progress conclusions for every admissible choice among ws."""
-        nonu = {w for w in ws if not univ[w]}
-        if len(nonu) > 1:
-            return None
-        choices = set(ws) if not nonu else nonu
-        for wi in choices:
-            m = a | b
-            for w in ws:
-                if w != wi:
-                    m |= 1 << w
-            r = insert(wi, zc, m)
-            if r:
-                return r
-        return None
+    def prog(zc, l1, l2, l3, l4):
+        """Progress conclusions of a conjunct (u, v, zc) from its premise
+        lists P(w1, u; A), P(u, w2; {}), P(w3, v; B) and P(v, w4; {}).
 
-    def prog_join(u, v, zc, fixed=None):
-        """Join the four Progress premises around the conjunct (u, v, zc).
-
-        ``fixed`` optionally pins one role to the newly derived fact; the
-        remaining roles range over the stored indexes.
+        A combination is joined only if its non-universal w's are one variable,
+        which is then the only one that may survive; otherwise any w may.
         """
-        l1 = by_second.get(u, ())
-        l2 = empty_out.get(u, ())
-        l3 = by_second.get(v, ())
-        l4 = empty_out.get(v, ())
-        if fixed:
-            role, value = fixed
-            if role == 1:
-                l1 = [value]
-            elif role == 2:
-                l2 = [value]
-            elif role == 3:
-                l3 = [value]
-            else:
-                l4 = [value]
         for w1, a in l1:
             n1 = () if univ[w1] else (w1,)
             for w2 in l2:
@@ -204,125 +167,83 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
                         if not univ[w4] and w4 != w1 and w4 != w2 and w4 != w3:
                             if n3:
                                 continue
-                        r = conclude_prog((w1, w2, w3, w4), a, b, zc)
-                        if r:
-                            return r
-        return None
+                            n4 = (w4,)
+                        else:
+                            n4 = n3
+                        ws = (1 << w1) | (1 << w2) | (1 << w3) | (1 << w4)
+                        for wi in n4 or set((w1, w2, w3, w4)):
+                            yield wi, zc, a | b | (ws & ~(1 << wi))
 
-    # Init
-    for x in range(n):
-        r = insert(x, x, 0)
-        if r:
-            base.status = "bottom" if r == "bottom" else "cap"
-            base.fact_count = count
-            return base
-
-    while queue:
-        x, z, mask = queue.popleft()
-        if not stored(x, z, mask):
-            continue  # removed by a smaller set in the meantime
-        r = None
-        # Trans, fact as first premise
+    def conclusions(x, z, mask):
+        """Every conclusion with the fact P(x, z; mask) in one premise role."""
+        # Trans, fact as first and as second premise
         for z2 in list(empty_out.get(z, ())):
-            r = insert(x, z2, mask)
-            if r:
-                break
-        # Trans, fact as second premise
-        if not r and mask == 0:
+            yield x, z2, mask
+        if mask == 0:
             for w, b in list(by_second.get(x, ())):
-                r = insert(w, z, b)
-                if r:
-                    break
-        # AltTrans, fact as P(w1, y; A)
-        if not r:
-            for w2 in list(empty_out.get(z, ())):
-                for zc, b in list(by_first.get(z, ())):
-                    r = conclude_alt(x, w2, zc, mask, b)
-                    if r:
-                        break
-                if r:
-                    break
-        # AltTrans, fact as P(y, w2; {})
-        if not r and mask == 0:
+                yield w, z, b
+        # AltTrans, fact as P(w1, y; A), as P(y, w2; {}) and as P(y, z; B)
+        for w2 in list(empty_out.get(z, ())):
+            for zc, b in list(by_first.get(z, ())):
+                yield from alt(x, w2, zc, mask, b)
+        if mask == 0:
             for w1, a in list(by_second.get(x, ())):
                 for zc, b in list(by_first.get(x, ())):
-                    r = conclude_alt(w1, z, zc, a, b)
-                    if r:
-                        break
-                if r:
-                    break
-        # AltTrans, fact as P(y, z; B)
-        if not r:
-            for w1, a in list(by_second.get(x, ())):
-                for w2 in list(empty_out.get(x, ())):
-                    r = conclude_alt(w1, w2, z, a, mask)
-                    if r:
-                        break
-                if r:
-                    break
+                    yield from alt(w1, z, zc, a, b)
+        for w1, a in list(by_second.get(x, ())):
+            for w2 in list(empty_out.get(x, ())):
+                yield from alt(w1, w2, z, a, mask)
         # Progress, fact in each of the four premise roles
-        if not r:
-            for v, zc in prog_u.get(z, ()):
-                r = prog_join(z, v, zc, fixed=(1, (x, mask)))
-                if r:
-                    break
-        if not r and mask == 0:
+        fact = [(x, mask)]
+        for v, zc in prog_u.get(z, ()):
+            yield from prog(zc, fact, empty_out.get(z, ()), by_second.get(v, ()), empty_out.get(v, ()))
+        if mask == 0:
             for v, zc in prog_u.get(x, ()):
-                r = prog_join(x, v, zc, fixed=(2, z))
-                if r:
-                    break
-        if not r:
-            for u, zc in prog_v.get(z, ()):
-                r = prog_join(u, z, zc, fixed=(3, (x, mask)))
-                if r:
-                    break
-        if not r and mask == 0:
+                yield from prog(zc, by_second.get(x, ()), [z], by_second.get(v, ()), empty_out.get(v, ()))
+        for u, zc in prog_v.get(z, ()):
+            yield from prog(zc, by_second.get(u, ()), empty_out.get(u, ()), fact, empty_out.get(z, ()))
+        if mask == 0:
             for u, zc in prog_v.get(x, ()):
-                r = prog_join(u, x, zc, fixed=(4, z))
-                if r:
-                    break
-        if r:
-            base.status = "bottom" if r == "bottom" else "cap"
-            base.fact_count = count
-            return base
+                yield from prog(zc, by_second.get(u, ()), empty_out.get(u, ()), by_second.get(x, ()), [z])
 
-    base.status = "complete"
+    def derivations():
+        """Init, then the conclusions of each dequeued fact still stored."""
+        for x in range(n):
+            yield x, x, 0
+        while queue:
+            x, z, mask = queue.popleft()
+            if mask in minimal[x, z]:  # else removed by a smaller set meanwhile
+                yield from conclusions(x, z, mask)
+
+    for x, z, mask in derivations():
+        stop = insert(x, z, mask)
+        if stop:
+            base.status = stop
+            break
     base.fact_count = count
     return base
 
 
-def ep_move(inst: QcspInstance, facts: FactBase, partial, x: int) -> Move:
+def ep_move(inst: QcspInstance, facts: FactBase, partial: WeakOrder, x: int) -> Move:
     """The existential player's position for x, given the saturated facts.
 
     The value must dominate exactly the levels reachable through a fact
     P(x, y; {}) with y already assigned, and equal a level exactly when the
     equality condition of the strategy holds there.
     """
-    ranks = partial.ranks if hasattr(partial, "ranks") else tuple(partial)
+    ranks = partial.ranks
     if len(ranks) != x:
         raise ValueError("all variables before x must be assigned")
-    y0_levels = set()
-    m = None
-    for y in range(x):
-        if facts.has_empty(x, y):
-            y0_levels.add(ranks[y])
-            m = ranks[y] if m is None else max(m, ranks[y])
+    y0_levels = {ranks[y] for y in range(x) if facts.has_empty(x, y)}
+    m = max(y0_levels, default=None)
     eq_levels = set()
-    for (y2, xx), masks in facts.minimal.items():
-        if xx != x or y2 >= x:
-            continue
-        lev = ranks[y2]
-        if lev not in y0_levels:
-            continue
-        for mask in masks:
-            ok = True
-            for a in _bits(mask):
-                if not (y2 < a < x) or ranks[a] != lev:
-                    ok = False
-                    break
-            if ok:
+    for y in range(x):
+        lev = ranks[y]
+        if lev in y0_levels:
+            # equality needs some A-set placed strictly between y and x at y's level
+            between = sum(1 << a for a in range(y + 1, x) if ranks[a] == lev)
+            if any(mask & ~between == 0 for mask in facts.minimal.get((y, x), ())):
                 eq_levels.add(lev)
-                break
     if len(eq_levels) > 1:
         raise StrategyUndefinedError(
             f"variable {inst.names[x]} would need to equal two distinct levels {sorted(eq_levels)}"

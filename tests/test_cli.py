@@ -66,6 +66,53 @@ def test_derive_json(capsys):
     assert "P c0 c2 {y1_0,y2_0}" in blob["facts"]
 
 
+_DERIVE_JSON = {
+    "chain2": (False, 18, [
+        "P c0 c0 {}", "P c0 c1 {y1_0}", "P c0 c1 {y1_1}", "P c0 c2 {y1_0,y2_0}",
+        "P c0 c2 {y1_1,y2_0}", "P c0 c2 {y1_0,y2_1}", "P c0 c2 {y1_1,y2_1}",
+        "P y1_0 y1_0 {}", "P y1_1 y1_1 {}", "P c1 c0 {}", "P c1 c1 {}",
+        "P c1 c2 {y2_0}", "P c1 c2 {y2_1}", "P y2_0 y2_0 {}", "P y2_1 y2_1 {}",
+        "P c2 c0 {}", "P c2 c1 {}", "P c2 c2 {}",
+    ]),
+    "forall-exists-gt": (False, 5, [
+        "P x x {}", "P y x {}", "P y y {}", "P y _z1 {x}", "P _z1 _z1 {}",
+    ]),
+    "no-maximum": (True, 3, ["P x x {}", "P y x {}", "P y y {}"]),
+    "mutual-ge": (True, 3, ["P x1 x1 {}", "P x1 x2 {}", "P x2 x2 {}"]),
+    "three-var": (True, 6, [
+        "P x1 x1 {}", "P x1 x2 {}", "P x2 x1 {}", "P x2 x2 {}", "P x2 x3 {}", "P x3 x3 {}",
+    ]),
+    "reject-cascade": (True, 12, [
+        "P x1 x1 {}", "P x1 x3 {x2}", "P x1 x4 {}", "P x1 x5 {x2}", "P x2 x2 {}",
+        "P x3 x1 {}", "P x3 x3 {}", "P x3 x4 {x2}", "P x4 x4 {}", "P x5 x1 {}",
+        "P x5 x3 {x4}", "P x5 x5 {}",
+    ]),
+}
+
+
+# two false instances whose dump changes if a fact's conclusions are all
+# generated before any is inserted, or if the queue is worked last in first out
+_ORDER_SENSITIVE = {
+    "mutual-ge": "qcsp v1\nE x1\nA x2\nC x1 >= x2\nC x2 >= x1\n",
+    "three-var": "qcsp v1\nA x1\nE x2\nA x3\nC x2 >= x1\nC x2 != x1 | x2 >= x3\nC x1 >= x2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVE_JSON))
+def test_derive_json_bytes(tmp_path, capsys, name):
+    # on a false instance the dump holds the facts stored when refutation
+    # fired, which depends on the order in which conclusions are inserted
+    path = FIXTURES / f"{name}.qcsp"
+    if name in _ORDER_SENSITIVE:
+        path = tmp_path / f"{name}.qcsp"
+        path.write_text(_ORDER_SENSITIVE[name])
+    code, out, _ = run(capsys, "derive", path, "--json")
+    bottom, count, facts = _DERIVE_JSON[name]
+    assert code == 0
+    assert out == json.dumps({"bottom": bottom, "fact_count": count, "facts": facts},
+                             indent=2) + "\n"
+
+
 def test_derive_cap_exit_code(capsys):
     code, _, err = run(capsys, "derive", FIXTURES / "chain2.qcsp", "--cap", "3")
     assert code == 4
@@ -253,6 +300,23 @@ def test_flags_only_where_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--rounds", "-1"],
+        ["brute", "x.qcsp", "--max-vars", "-1"],
+        ["brute", "x.qcsp", "--max-nodes", "-1"],
+        ["derive", "x.qcsp", "--cap", "-1"],
+        ["verify-strategy", "x.qcsp", "--cap", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_selftest_reduced(capsys):
