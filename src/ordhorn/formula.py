@@ -12,6 +12,8 @@ operator reads with its operands swapped or negated.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -35,6 +37,25 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         super().__init__(f"line {line}, col {col}: {message}" if line else message)
+
+
+class ResourceLimitError(RuntimeError):
+    """A command ran past one of its resource bounds (exit status 4)."""
+
+
+#: Most clauses one clause may distribute into, or normalize may produce.
+MAX_EXPANSION = 100_000
+
+
+def _distribute(factors, line_no=0):
+    """Every way to pick one item per factor, as tuples in factor order; the
+    count is multiplied out first, and past :data:`MAX_EXPANSION` nothing is
+    built and :class:`ResourceLimitError` (naming ``line_no``, if any) raised."""
+    total = math.prod(len(f) for f in factors)
+    if total > MAX_EXPANSION:
+        where = f"line {line_no}: " if line_no else ""
+        raise ResourceLimitError(f"{where}clause expands into {total} clauses, limit {MAX_EXPANSION}")
+    return list(itertools.product(*factors))
 
 
 class NotPivotedError(ValueError):
@@ -213,10 +234,7 @@ def _parse_clause_line(body, line_no, resolve, line):
     for part in parts:
         col = line.find(part) + 1
         expansions.append(_expand_disjunct(part.split(), line_no, col, resolve, line))
-    clauses = [()]
-    for exp in expansions:
-        clauses = [acc + extra for acc in clauses for extra in exp]
-    return [tuple(c) for c in clauses]
+    return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
 
 
 def parse_instance(text: str) -> QcspInstance:
@@ -328,10 +346,10 @@ def print_instance(inst: QcspInstance) -> str:
 
 
 _GE_NE_FACTORS = {
-    "=": lambda a, b: [[("ge", a, b)], [("ge", b, a)]],
-    "!=": lambda a, b: [[("ne", a, b)]],
-    "<": lambda a, b: [[("ge", b, a)], [("ne", a, b)]],
-    "<=": lambda a, b: [[("ge", b, a)]],
+    "=": lambda a, b: [("ge", a, b), ("ge", b, a)],
+    "!=": lambda a, b: [("ne", a, b)],
+    "<": lambda a, b: [("ge", b, a), ("ne", a, b)],
+    "<=": lambda a, b: [("ge", b, a)],
 }
 
 
@@ -339,15 +357,11 @@ def _ge_ne_product(clause):
     """Rewrite a clause over {=,!=,<,<=,>,>=} into clauses over ge/ne literals.
 
     A disjunct whose rewriting is a conjunction (=, <, >) splits the clause,
-    so the result is a list of literal lists.  Literals are ("ge", a, b) for
+    so the result is a list of literal tuples.  Literals are ("ge", a, b) for
     a >= b and ("ne", a, b) for a != b.
     """
-    out = [[]]
-    for atom in clause:
-        a = atom.lower_first()
-        factors = _GE_NE_FACTORS[a.op](a.left, a.right)
-        out = [acc + f for acc in out for f in factors]
-    return out
+    lower = [atom.lower_first() for atom in clause]
+    return _distribute([_GE_NE_FACTORS[a.op](a.left, a.right) for a in lower])
 
 
 def _to_oh_clause(lits, names) -> Optional[OhClause]:
@@ -398,12 +412,18 @@ def normalize(inst: QcspInstance) -> QcspInstance:
 
     Equalities split into two unit clauses, strict atoms into an order plus a
     disequality clause.  Duplicate clauses are removed by canonical key.
-    Raises :class:`NotPivotedError` when some clause has no common pivot.
+    Raises :class:`NotPivotedError` when some clause has no common pivot,
+    and :class:`ResourceLimitError` past :data:`MAX_EXPANSION` clauses.
     """
     seen = {}
     out = []
+    total = 0
     for clause in inst.general_matrix():
-        for lits in _ge_ne_product(clause):
+        products = _ge_ne_product(clause)
+        total += len(products)
+        if total > MAX_EXPANSION:
+            raise ResourceLimitError(f"normalize exceeded {MAX_EXPANSION} clauses")
+        for lits in products:
             oh = _to_oh_clause(lits, inst.names)
             if oh is None:
                 continue

@@ -11,12 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .formula import HOLDS, QcspInstance
+from .formula import HOLDS, QcspInstance, ResourceLimitError
 from .orders import WeakOrder
-
-
-class ResourceLimitError(RuntimeError):
-    pass
 
 
 class Move(NamedTuple):

@@ -4,16 +4,18 @@ The decision procedure is a merge/fire closure: equality atoms merge
 variables into classes, a clause *fires* once all its disequality partners
 sit in the pivot's class (contributing its order disjunct, or falsity), and
 strongly connected components of the resulting <=-graph collapse into single
-classes.  At the fixpoint every component is a single class, so the last
-component pass is a topological order of the class graph; numbering the
-classes along it gives distinct classes distinct values, which satisfies
-every clause that never fired.
+classes.  Classes are one representative list, kept exact by relabelling the
+smaller class on each merge.  At the fixpoint every component is a single
+class, so the last component pass is a topological order of the class graph;
+numbering the classes along it gives distinct classes distinct values, which
+satisfies every clause that never fired.
 
 There is one closure engine, :func:`closure`, shared by :func:`oh_sat` and
 the solver.  It indexes clauses by pivot and re-examines a clause only when
 its pivot's class grows, so a clause with no partner besides its pivot
 would never be examined: callers pass such clauses as plain edges (or,
-without an order disjunct, refute at once).
+without an order disjunct, refute at once), and a clause left out of the
+index never fires.
 """
 
 from __future__ import annotations
@@ -60,52 +62,57 @@ def _normalize_atoms(atoms):
     return buckets["="], buckets["<="], buckets["<"], buckets["!="]
 
 
-def _tarjan_sccs(nodes, adj):
-    """Iterative Tarjan; returns the list of SCCs (each a list of nodes),
-    each SCC after every SCC it reaches."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
+def _bits(mask):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _sccs(nodes, succ):
+    """Iterative Tarjan from the roots ``nodes`` over successor lists indexed
+    by node; returns the SCCs (each a list of nodes), each SCC after every
+    SCC it reaches."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack, sccs = [], []
+    count = 0
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    work.append((w, iter(succ[w])))
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+                    on_stack[w] = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                    sccs.append(comp)
     return sccs
 
 
@@ -113,95 +120,72 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
     """Merge/fire closure over clauses i = (pivots[i], pmasks[i], targets[i])
     and the atoms x = y (eqs), x <= y (les), x < y (lts) and x != y (nes).
 
-    A target of -1 means the clause has no order disjunct; -2 marks a
-    retired entry, which never fires.  Every live clause must have a partner
-    besides its pivot (partner-free clauses are passed as ``les`` edges
-    (target, pivot) instead), and ``by_pivot`` maps each pivot variable to
-    its clause ids: a round re-examines only the clauses whose pivot class
-    grew.  Returns (reps, sccs, None, fired_edges) on success, with reps[v]
-    the class representative of variable v and sccs the last round's
-    components of the class graph: one [r] per class, each after every class
-    it must not exceed, so the highest class comes first.  On refutation it
-    returns (None, None, certificate, None), the certificate being the
-    merge/fire event sequence.
+    A target of -1 means the clause has no order disjunct.  ``by_pivot``
+    maps each pivot variable to its clause ids, and a round re-examines only
+    the clauses whose pivot class grew, so a slot left out of ``by_pivot``
+    never fires.  Every indexed clause must have a partner besides its pivot
+    (partner-free clauses are passed as ``les`` edges (target, pivot)).
+    Returns (rep, sccs, None, fired_edges) on success, with rep[v] the class
+    representative of variable v and sccs the last round's components of
+    the class graph: one [r] per class, each after every class it must not
+    exceed, so the highest class comes first.  On refutation it returns
+    (None, None, certificate, None), the certificate being the merge/fire
+    event sequence.
     """
-    parent = list(range(n))
+    rep = list(range(n))
     members = [1 << i for i in range(n)]
     events = []
     changed_mask = 0
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def union(a, b):
         nonlocal changed_mask
-        ra, rb = find(a), find(b)
+        ra, rb = rep[a], rep[b]
         if ra == rb:
-            return False
+            return
         if members[ra].bit_count() < members[rb].bit_count():
             ra, rb = rb, ra
-        parent[rb] = ra
+        for v in _bits(members[rb]):
+            rep[v] = ra
         members[ra] |= members[rb]
         changed_mask |= members[ra]
         events.append(("merge", rb, ra))
-        return True
 
     for a, b in eqs:
         union(a, b)
 
     fired = set()
     fired_edges = []
-    rounds = 0
-    while True:
-        rounds += 1
-        # each non-final round merges at least two classes
-        if rounds > n + 2:
-            raise RuntimeError("closure exceeded its merge-round bound")
-        scan = []
-        m = changed_mask
-        while m:
-            bit = m & -m
-            scan.extend(by_pivot.get(bit.bit_length() - 1, ()))
-            m ^= bit
+    # each non-final round merges at least two classes
+    for _ in range(n + 2):
+        scan = [i for p in _bits(changed_mask) for i in by_pivot.get(p, ())]
         changed_mask = 0
         for i in scan:
-            if i in fired or targets[i] == -2:
-                continue
-            r = find(pivots[i])
-            if pmasks[i] & ~members[r] == 0:
+            if i not in fired and pmasks[i] & ~members[rep[pivots[i]]] == 0:
                 fired.add(i)
                 events.append(("fire", i))
                 if targets[i] < 0:
                     events.append(("empty-clause", i))
                     return None, None, events, None
                 fired_edges.append((targets[i], pivots[i]))
-        reps = [find(i) for i in range(n)]
-        adj = {}
+        succ = [[] for _ in range(n)]
         for edges in (les, lts, fired_edges):
             for a, b in edges:
-                adj.setdefault(reps[a], set()).add(reps[b])
-        merged = False
-        sccs = _tarjan_sccs(sorted(set(reps)), {k: sorted(v) for k, v in adj.items()})
-        for comp in sccs:
-            if len(comp) > 1:
-                base = comp[0]
-                for other in comp[1:]:
-                    merged |= union(base, other)
-        if not merged:
+                succ[rep[a]].append(rep[b])
+        sccs = _sccs([v for v in range(n) if rep[v] == v], succ)
+        if all(len(comp) == 1 for comp in sccs):
             break
+        for comp in sccs:
+            for other in comp[1:]:
+                union(comp[0], other)
+    else:
+        raise RuntimeError("closure exceeded its merge-round bound")
 
-    for a, b in lts:
-        if reps[a] == reps[b]:
-            events.append(("strict-cycle", a, b))
-            return None, None, events, None
-    for a, b in nes:
-        if reps[a] == reps[b]:
-            events.append(("forced-equal", a, b))
-            return None, None, events, None
-    return reps, sccs, None, fired_edges
+    for kind, pairs in (("strict-cycle", lts), ("forced-equal", nes)):
+        for a, b in pairs:
+            if rep[a] == rep[b]:
+                events.append((kind, a, b))
+                return None, None, events, None
+    return rep, sccs, None, fired_edges
 
 
 def oh_sat(conj: OhConjunction):
@@ -223,13 +207,13 @@ def oh_sat(conj: OhConjunction):
         pivots.append(c.pivot)
         pmasks.append(m)
         targets.append(target)
-    reps, sccs, cert, _ = closure(
+    rep, sccs, cert, _ = closure(
         conj.n_vars, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot
     )
-    if reps is None:
+    if rep is None:
         return UnsatResult(cert)
     level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
-    return SatResult(WeakOrder(tuple(level[r] for r in reps)))
+    return SatResult(WeakOrder(tuple(level[r] for r in rep)))
 
 
 def entails(conj: OhConjunction, atom: Atom) -> bool:

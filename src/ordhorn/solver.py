@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import OhClause, QcspInstance, normalize
-from .ohsat import closure
+from .ohsat import _bits, closure
 
 
 class DialectError(ValueError):
@@ -95,13 +95,6 @@ def cut_set(inst: QcspInstance, x: int, z: int) -> set:
     return set(_bits(_cut_mask(inst.quants, _upset_masks(inst.quants), x, z)))
 
 
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _check_dialect(matrix):
     for c in matrix:
         if not isinstance(c, OhClause):
@@ -146,8 +139,8 @@ def solve(inst: QcspInstance) -> Verdict:
         if c.is_unit():
             edge_list.append((c.target, c.pivot))
             slot = pair_slot.get((c.pivot, c.target))
-            if slot is not None:
-                targets[slot] = -2  # retired: entailed by the unit
+            if slot is not None:  # entailed by the unit from now on
+                by_pivot[c.pivot].remove(slot)
             pair_slot[(c.pivot, c.target)] = None
             return True
         slot = pair_slot.get((c.pivot, c.target)) if derived_pair else None

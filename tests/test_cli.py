@@ -43,13 +43,21 @@ def test_solve_and_brute_agree_on_fixtures(capsys):
         assert solve_out.strip() == brute_out.strip(), name
 
 
-def test_reverse_order_gives_dual_verdict(capsys):
+def test_reverse_order_gives_dual_verdict(capsys, tmp_path):
     # the dual of a true instance whose matrix is also reversed stays true
     _, out1, _ = run(capsys, "brute", FIXTURES / "forall-exists-gt.qcsp")
     _, out2, _ = run(capsys, "brute", FIXTURES / "forall-exists-gt.qcsp", "--reverse-order")
     assert out1.strip() == out2.strip() == "true"
     _, out3, _ = run(capsys, "solve", FIXTURES / "no-maximum.qcsp", "--reverse-order")
     assert out3.strip() == "false"  # exists x forall y: y <= x is just as false
+    # the solver decides M+ only, so it takes the dual of an M- instance ...
+    path = tmp_path / "m-minus.qcsp"
+    path.write_text("qcsp v1\nE x\nA y\nE z\nC M- x y z\n")
+    assert run(capsys, "solve", path, "--reverse-order")[:2] == (0, "true\n")
+    # ... and rejects the dual of an M+ instance, which brute still decides
+    code, _, err = run(capsys, "solve", FIXTURES / "reject-cascade.qcsp", "--reverse-order")
+    assert code == 3 and "no common pivot" in err
+    assert run(capsys, "brute", FIXTURES / "reject-cascade.qcsp", "--reverse-order")[0] == 0
 
 
 def test_derive_reports_bottom(capsys):

@@ -6,7 +6,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordhorn.cli import main
 from ordhorn.formula import (
+    MAX_EXPANSION,
     Atom,
     NotPivotedError,
     OhClause,
@@ -16,7 +18,7 @@ from ordhorn.formula import (
     parse_relation,
     print_instance,
 )
-from ordhorn.game import brute_solve
+from ordhorn.game import ResourceLimitError, brute_solve
 from ordhorn.reductions import parse_dimacs
 
 from conftest import make_general, random_general_instance
@@ -262,6 +264,58 @@ def test_position_names_need_no_table_of_the_arity():
         assert rel.defn.clauses == ((Atom(0, ">=", 999999),),)
 
     assert _peak_bytes(parse) < 5 * 2**20
+
+
+def _cli_exit_and_peak(tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    codes = []
+    peak = _peak_bytes(lambda: codes.append(main([command, str(path)])))
+    return codes[0], peak
+
+
+def test_relation_disjuncts_distribute_within_the_bound(tmp_path, capsys):
+    # 18 disjuncts of the two-clause relation Z would make 2**18 clauses
+    text = "qcsp v1\nE a\nE b\nE c\nE d\nC " + " | ".join(["Z a b c d"] * 18) + "\n"
+    code, peak = _cli_exit_and_peak(tmp_path, "brute", text)
+    assert code == 4
+    assert "line 6: clause expands into 262144 clauses" in capsys.readouterr().err
+    assert peak < 5 * 2**20
+
+
+def test_normalize_distributes_within_the_bound(tmp_path, capsys):
+    # each strict atom is an order disjunct and a disequality: 2**18 clauses
+    text = "qcsp v1\nE a\nE b\nC " + " | ".join(["a < b"] * 18) + "\n"
+    code, peak = _cli_exit_and_peak(tmp_path, "solve", text)
+    assert code == 4
+    assert "clause expands into 262144 clauses" in capsys.readouterr().err
+    assert peak < 5 * 2**20
+
+
+def test_classify_bounds_the_oh_shape_rewriting(tmp_path, capsys):
+    text = "rel v1\narity 2\nC " + " | ".join(["x1 < x2"] * 18) + "\n"
+    code, peak = _cli_exit_and_peak(tmp_path, "classify", text)
+    assert code == 4
+    assert "clause expands into 262144 clauses" in capsys.readouterr().err
+    assert peak < 5 * 2**20
+
+
+def test_a_line_just_under_the_expansion_bound_parses():
+    # 7**3 * 6**2 * 4 * 2 = 98,784 clauses; one more GM+ disjunct doubles it
+    line = " | ".join(["GSN a b c d"] * 3 + ["lrGSM a b c d"] * 2 + ["GVM<+ a b c", "GM+ a b c"])
+    head = "qcsp v1\nE a\nE b\nE c\nE d\nC "
+    assert len(parse_instance(head + line + "\n").matrix) == 98784 <= MAX_EXPANSION
+    with pytest.raises(ResourceLimitError, match="line 6: clause expands into 197568"):
+        parse_instance(head + line + " | GM+ a b c\n")
+
+
+def test_normalize_bounds_its_total_output():
+    # parse and normalize products compound: each line distributes into
+    # 2**16 clauses, under the bound, but the two lines exceed it together
+    text = "qcsp v1\nE a\nE b\nC " + " | ".join(["a < b"] * 16) + "\n"
+    inst = parse_instance(text + "C " + " | ".join(["b < a"] * 16) + "\n")
+    with pytest.raises(ResourceLimitError, match=f"normalize exceeded {MAX_EXPANSION}"):
+        normalize(inst)
 
 
 _NAMES = ("x", "y", "x1", "x2", "x3", "x0", "x01", "x4000000")

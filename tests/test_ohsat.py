@@ -154,6 +154,45 @@ def test_model_uses_distinct_levels_per_class():
     assert len(set(res.model.ranks)) == 3
 
 
+def test_sccs_match_mutual_reachability():
+    """_sccs on seeded random graphs with duplicate edges, self-loops and a
+    subset of the nodes as roots: the components are the classes of mutual
+    reachability among the nodes reached, each listed after every component
+    it reaches."""
+    from ordhorn.ohsat import _sccs
+
+    rng = random.Random(1972)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        succ = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            succ[a].extend([b] * rng.choice((1, 1, 2)))
+        for _ in range(rng.randint(0, 2)):
+            v = rng.randrange(n)
+            succ[v].append(v)
+        roots = rng.sample(range(n), rng.randint(1, n))
+        reach = []
+        for v in range(n):
+            seen, todo = {v}, [v]
+            while todo:
+                for w in succ[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            reach.append(seen)
+        reached = set().union(*(reach[r] for r in roots))
+        sccs = _sccs(roots, succ)
+        listed = [v for comp in sccs for v in comp]
+        assert sorted(listed) == sorted(reached)
+        comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+        for v in reached:
+            for w in reached:
+                assert (comp_of[v] == comp_of[w]) == (w in reach[v] and v in reach[w])
+                if w in reach[v]:
+                    assert comp_of[w] <= comp_of[v]
+
+
 def test_closure_matches_weak_order_brute_force():
     """The closure engine under the solver's conventions (partner-free
     clauses as edges, retired entries, equality/strict/disequality atoms)
@@ -167,7 +206,8 @@ def test_closure_matches_weak_order_brute_force():
         n = rng.randint(2, 5)
         pivots, pmasks, targets = [], [], []
         live = []  # the entries that are not retired, as clauses
-        for _ in range(rng.randint(0, 4)):
+        by_pivot = {}
+        for i in range(rng.randint(0, 4)):
             pivot = rng.randrange(n)
             others = [v for v in range(n) if v != pivot]
             rng.shuffle(others)
@@ -176,18 +216,19 @@ def test_closure_matches_weak_order_brute_force():
             for p in partners:
                 m |= 1 << p
             target = rng.choice([-2, -1] + list(range(n)))
+            # a retired entry stays in the arrays, as a clause that would
+            # refute if it fired, but is left out of by_pivot
+            retired = target == -2
             pivots.append(pivot)
             pmasks.append(m)
-            targets.append(target)
-            if target != -2:
+            targets.append(-1 if retired else target)
+            if not retired:
+                by_pivot.setdefault(pivot, []).append(i)
                 live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
         eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
-        by_pivot = {}
-        for i, p in enumerate(pivots):
-            by_pivot.setdefault(p, []).append(i)
         atoms = (
             [Atom(a, "=", b) for a, b in eqs]
             + [Atom(a, "<=", b) for a, b in edges]
