@@ -120,7 +120,7 @@ def oh_shape(f: QfFormula) -> bool:
 
     for clause in f.clauses:
         for lits in _ge_ne_product(clause):
-            if sum(1 for kind, a, b in lits if kind == "ge" and a != b) > 1:
+            if len({(a, b) for kind, a, b in lits if kind == "ge" and a != b}) > 1:
                 # a reflexive order disjunct makes the clause trivially true
                 if not any(kind == "ge" and a == b for kind, a, b in lits):
                     return False
@@ -135,14 +135,14 @@ _GOH_KINDS = {"<=": "le", "<": "lt", "!=": "ne"}
 
 
 def _goh_normal(clause):
-    """Atoms as ("le"|"lt"|"ne", a, b); None when the clause leaves the
-    {<=, <, !=} fragment."""
-    out = []
+    """Distinct atoms as ("le"|"lt"|"ne", a, b); None when the clause leaves
+    the {<=, <, !=} fragment."""
+    out = set()
     for atom in clause:
         a = atom.lower_first()
         if a.op not in _GOH_KINDS:
             return None
-        out.append((_GOH_KINDS[a.op], a.left, a.right))
+        out.add((_GOH_KINDS[a.op], a.left, a.right))
     return tuple(sorted(out))
 
 

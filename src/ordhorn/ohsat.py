@@ -16,6 +16,24 @@ its pivot's class grows, so a clause with no partner besides its pivot
 would never be examined: callers pass such clauses as plain edges (or,
 without an order disjunct, refute at once), and a clause left out of the
 index never fires.
+
+The solver asks many probes of one clause set, each "x equal to a set U
+and x < z", and answers them from a *memo* of the set's base fixpoint.
+The solver owns the memo (a dict) and passes it with each probe.  An
+empty memo is filled by the probe's own :func:`closure` call, which first
+runs the plain closure with no equalities and no strict atoms and records
+each variable's base class mask and its ``up``/``down`` reachability masks
+over the condensed class graph.  A probe then grows the one class
+``C = class(x) | classes(U)``: it fires the clauses pivoted in ``C`` whose
+partners lie in ``C`` (their targets form ``T``) and absorbs
+``up(C) & down(C | T)`` until nothing changes; no other class can change,
+because every fired edge points into ``C``.  The probe is unsatisfiable
+iff ``up(z)`` meets ``C | T``.  The owner clears the memo whenever the
+base fixpoint may move: when a unit clause is added (a new edge, or a
+retired slot) and when a new or shrunk partner set lies inside its
+pivot's base class (a clause that fires in the base).  A clause added
+outside those cases is read live from ``pmasks``/``targets``/``by_pivot``
+by later probes.
 """
 
 from __future__ import annotations
@@ -116,7 +134,7 @@ def _sccs(nodes, succ):
     return sccs
 
 
-def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
+def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None):
     """Merge/fire closure over clauses i = (pivots[i], pmasks[i], targets[i])
     and the atoms x = y (eqs), x <= y (les), x < y (lts) and x != y (nes).
 
@@ -131,7 +149,24 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
     exceed, so the highest class comes first.  On refutation it returns
     (None, None, certificate, None), the certificate being the merge/fire
     event sequence.
+
+    With a ``memo`` (see the module docstring) the call is a probe: ``lts``
+    is the one atom x < z, every pair of ``eqs`` is (x, v), and ``nes`` is
+    empty.  An empty memo is first filled from this clause set.  A probe
+    returns (rep, None, None, fired_edges) on success: rep maps x's grown
+    class to x and every other variable to its base representative, sccs
+    is left out, and fired_edges are the edges of the clauses that fire in
+    x's grown class;
+    on refutation the certificate lists those clauses' ("fire", i) events,
+    then an "empty-clause" or "strict-cycle" event.
     """
+    if memo is not None:
+        if not memo:
+            base = closure(n, pivots, pmasks, targets, (), les, (), (), by_pivot)
+            if base[0] is None:
+                return base  # every probe of this clause set is refuted
+            _record_base(memo, n, les, *base)
+        return _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot)
     rep = list(range(n))
     members = [1 << i for i in range(n)]
     events = []
@@ -186,6 +221,87 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot):
                 events.append((kind, a, b))
                 return None, None, events, None
     return rep, sccs, None, fired_edges
+
+
+def _record_base(memo, n, les, rep, sccs, _, fired_edges):
+    """Fill ``memo`` from a base fixpoint: per variable, its class as a
+    mask (``cls``) and a list (``members``), and the masks of the classes
+    at or above it (``up``) and at or below it (``down``)."""
+    cls = [0] * n
+    members = [[] for _ in range(n)]
+    for v in range(n):
+        cls[rep[v]] |= 1 << v
+        members[rep[v]].append(v)
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for edges in (les, fired_edges):
+        for a, b in edges:
+            succ[rep[a]].append(rep[b])
+            pred[rep[b]].append(rep[a])
+    up = [0] * n
+    down = [0] * n
+    # sccs lists each class after every class above it
+    for (r,) in sccs:
+        m = cls[r]
+        for s in succ[r]:
+            m |= up[s]
+        up[r] = m
+    for (r,) in reversed(sccs):
+        m = cls[r]
+        for p in pred[r]:
+            m |= down[p]
+        down[r] = m
+    memo["rep"] = rep
+    memo["cls"] = [cls[r] for r in rep]
+    memo["members"] = [members[r] for r in rep]
+    memo["up"] = [up[r] for r in rep]
+    memo["down"] = [down[r] for r in rep]
+
+
+def _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot):
+    """Answer x = U, x < z from the base fixpoint in ``memo``."""
+    if len(lts) != 1 or nes:
+        raise ValueError("a memo probe takes one strict atom and no disequalities")
+    ((x, z),) = lts
+    cls, up, down, members = memo["cls"], memo["up"], memo["down"], memo["members"]
+    rep = memo["rep"][:]
+    # the masks of C (represented by x), up(C) and down(C | T)
+    c_mask = upc = downc = 0
+    pending = []  # unfired clauses pivoted in C
+    fired = []
+    grow = [(x, x), *eqs]
+    while True:
+        for a, v in grow:
+            if a != x:
+                raise ValueError("memo probe equalities must all start at x")
+            if c_mask >> v & 1:
+                continue
+            c_mask |= cls[v]
+            upc |= up[v]
+            downc |= down[v]
+            for w in members[v]:
+                rep[w] = x
+                ids = by_pivot.get(w)
+                if ids:
+                    pending += ids
+        outside = ~c_mask
+        firing = [i for i in pending if not pmasks[i] & outside]
+        fired += firing
+        for i in firing:
+            t = targets[i]
+            if t < 0:
+                events = [("fire", j) for j in fired]
+                return None, None, events + [("empty-clause", i)], None
+            downc |= down[t]
+        if downc >> z & 1:
+            events = [("fire", i) for i in fired]
+            return None, None, events + [("strict-cycle", x, z)], None
+        # the classes above C and below C | T join it
+        new = upc & downc & outside
+        if not new:
+            return rep, None, None, [(targets[i], pivots[i]) for i in fired]
+        pending = [i for i in pending if pmasks[i] & outside]
+        grow = [(x, v) for v in _bits(new)]
 
 
 def oh_sat(conj: OhConjunction):

@@ -12,6 +12,12 @@ facts without changing the result: satisfiability is monotone as the
 equality set shrinks (binary search over the upward sets per pair), and
 unsatisfiability persists as the clause set grows (known-unsatisfiable
 prefixes are not re-probed across passes).
+
+Each probe is one :func:`~ordhorn.ohsat.closure` call with the solver's
+memo of the clause set's base fixpoint, filled by the first probe after
+the memo is cleared.  ``add_clause`` clears it when a unit clause is added
+and when a new or shrunk partner set lies inside its pivot's base class;
+any other clause cannot fire in the base fixpoint and is read live.
 """
 
 from __future__ import annotations
@@ -118,6 +124,7 @@ def solve(inst: QcspInstance) -> Verdict:
     for u in range(n):
         if not G or ups[u] != G[-1][1]:
             G.append((u, ups[u]))
+    g_vars = [list(_bits(mask)) for _, mask in G]
 
     clauses = {}
     # the oracle sees unit clauses as unconditional edges and, per
@@ -127,16 +134,16 @@ def solve(inst: QcspInstance) -> Verdict:
     by_pivot = {}
     edge_list = []
     pair_slot = {}
+    memo = {}  # the base fixpoint of the current clause set, see ohsat
 
-    def add_clause(c: OhClause, derived_pair=False) -> bool:
+    def add_clause(c: OhClause, m: int, derived_pair=False) -> bool:
+        """Record c, whose partners form the bit mask m; False if known."""
         k = c.key()
         if k in clauses:
             return False
         clauses[k] = c
-        m = 0
-        for p in c.partners:
-            m |= 1 << p
         if c.is_unit():
+            memo.clear()
             edge_list.append((c.target, c.pivot))
             slot = pair_slot.get((c.pivot, c.target))
             if slot is not None:  # entailed by the unit from now on
@@ -149,6 +156,9 @@ def solve(inst: QcspInstance) -> Verdict:
                 return True  # a unit for this pair already subsumes it
             if m & ~pmasks[slot]:
                 raise RuntimeError("derived partner sets must shrink")
+        if memo and not m & ~memo["cls"][c.pivot]:
+            memo.clear()  # the clause fires in the base fixpoint
+        if slot is not None:
             pmasks[slot] = m
             return True
         idx = len(pivots)
@@ -161,7 +171,7 @@ def solve(inst: QcspInstance) -> Verdict:
         return True
 
     for c in inst.matrix:
-        add_clause(c)
+        add_clause(c, sum(1 << p for p in c.partners))
 
     n_derived = 0
     log = []
@@ -171,13 +181,14 @@ def solve(inst: QcspInstance) -> Verdict:
     def rejects(x, z) -> bool:
         return x < z and quants[z] == "A" and ((x, (), z) in clauses or (z, (), x) in clauses)
 
-    def probe(x, z, mask) -> bool:
-        """True iff phi with x equated to the masked set and x < z is UNSAT."""
+    def probe(x, z, g) -> bool:
+        """True iff phi with x equated to the upward set G[g] and x < z is
+        UNSAT."""
         nonlocal oracle_calls
         oracle_calls += 1
-        eqs = [(x, v) for v in _bits(mask & ~(1 << x) & ~(1 << z))]
+        eqs = [(x, v) for v in g_vars[g] if v != x and v != z]
         reps, _, _, _ = closure(
-            n, pivots, pmasks, targets, eqs, edge_list, [(x, z)], [], by_pivot
+            n, pivots, pmasks, targets, eqs, edge_list, [(x, z)], [], by_pivot, memo=memo
         )
         return reps is None
 
@@ -202,26 +213,26 @@ def solve(inst: QcspInstance) -> Verdict:
                 lo = known.get((x, z), 0)
                 last = len(G) - 1
                 while lo <= last:
-                    if not probe(x, z, G[lo][1]):
+                    if not probe(x, z, lo):
                         break  # satisfiable here, hence at every later position
                     # find the first satisfiable upward set after lo
-                    if lo == last or probe(x, z, G[last][1]):
+                    if lo == last or probe(x, z, last):
                         s = last + 1
                     else:
                         a, b = lo, last  # a unsatisfiable, b satisfiable
                         while b - a > 1:
                             mid = (a + b) // 2
-                            if probe(x, z, G[mid][1]):
+                            if probe(x, z, mid):
                                 a = mid
                             else:
                                 b = mid
                         s = b
-                    cm = _cut_mask(quants, ups, x, z)
+                    drop = (1 << x) | (1 << z) | _cut_mask(quants, ups, x, z)
+                    dropped = tuple(_bits(drop))
                     for i in range(lo, s):
                         u, mask = G[i]
-                        partners = frozenset(_bits(mask & ~(1 << x) & ~(1 << z) & ~cm))
-                        c = OhClause(x, partners, z)
-                        fresh = add_clause(c, derived_pair=True)
+                        c = OhClause(x, frozenset(g_vars[i]).difference(dropped), z)
+                        fresh = add_clause(c, mask & ~drop, derived_pair=True)
                         log.append(DerivationEvent(pass_no, x, z, u, c, not fresh))
                         if fresh:
                             n_derived += 1

@@ -178,6 +178,19 @@ def test_classify_json_bytes(capsys, name):
     assert out == json.dumps(_CLASSIFY_JSON[name], indent=2) + "\n"
 
 
+def test_classify_ignores_repeated_disjunct(tmp_path, capsys):
+    # a disjunct written twice is the same clause as the disjunct once
+    reports = []
+    for name, clause in (("once", "x1 < x2"), ("twice", "x1 < x2 | x1 < x2")):
+        path = tmp_path / f"{name}.rel"
+        path.write_text(f"rel v1\nname LT\narity 2\nC {clause}\n")
+        code, out, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["oh_syntactic"] and reports[0]["goh_syntactic"]
+    assert reports[1] == reports[0]
+
+
 def test_compile_writes_pure_mplus(tmp_path, capsys):
     out_file = tmp_path / "compiled.qcsp"
     code, _, _ = run(capsys, "compile", FIXTURES / "reject-cascade.qcsp", "-o", out_file)

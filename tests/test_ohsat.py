@@ -193,6 +193,34 @@ def test_sccs_match_mutual_reachability():
                     assert comp_of[w] <= comp_of[v]
 
 
+def _random_closure_input(rng, n):
+    """Clause arrays under the solver's conventions (partner-free clauses as
+    edges, retired entries) plus the live clauses and the edges."""
+    pivots, pmasks, targets = [], [], []
+    live = []  # the entries that are not retired, as clauses
+    by_pivot = {}
+    for i in range(rng.randint(0, 4)):
+        pivot = rng.randrange(n)
+        others = [v for v in range(n) if v != pivot]
+        rng.shuffle(others)
+        partners = others[: rng.randint(1, min(2, len(others)))]
+        m = 0
+        for p in partners:
+            m |= 1 << p
+        target = rng.choice([-2, -1] + list(range(n)))
+        # a retired entry stays in the arrays, as a clause that would
+        # refute if it fired, but is left out of by_pivot
+        retired = target == -2
+        pivots.append(pivot)
+        pmasks.append(m)
+        targets.append(-1 if retired else target)
+        if not retired:
+            by_pivot.setdefault(pivot, []).append(i)
+            live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+    return pivots, pmasks, targets, by_pivot, live, edges
+
+
 def test_closure_matches_weak_order_brute_force():
     """The closure engine under the solver's conventions (partner-free
     clauses as edges, retired entries, equality/strict/disequality atoms)
@@ -204,28 +232,7 @@ def test_closure_matches_weak_order_brute_force():
     orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
     for _ in range(1500):
         n = rng.randint(2, 5)
-        pivots, pmasks, targets = [], [], []
-        live = []  # the entries that are not retired, as clauses
-        by_pivot = {}
-        for i in range(rng.randint(0, 4)):
-            pivot = rng.randrange(n)
-            others = [v for v in range(n) if v != pivot]
-            rng.shuffle(others)
-            partners = others[: rng.randint(1, min(2, len(others)))]
-            m = 0
-            for p in partners:
-                m |= 1 << p
-            target = rng.choice([-2, -1] + list(range(n)))
-            # a retired entry stays in the arrays, as a clause that would
-            # refute if it fired, but is left out of by_pivot
-            retired = target == -2
-            pivots.append(pivot)
-            pmasks.append(m)
-            targets.append(-1 if retired else target)
-            if not retired:
-                by_pivot.setdefault(pivot, []).append(i)
-                live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
-        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+        pivots, pmasks, targets, by_pivot, live, edges = _random_closure_input(rng, n)
         eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
@@ -246,3 +253,38 @@ def test_closure_matches_weak_order_brute_force():
             # the class order, highest first, numbered downwards
             level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
             assert model_satisfies(conj, WeakOrder(tuple(level[r] for r in reps))), conj
+
+
+def _partition(rep):
+    classes = {}
+    for v, r in enumerate(rep):
+        classes.setdefault(r, set()).add(v)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def test_memo_probe_matches_plain_closure():
+    """Probes answered from a base-fixpoint memo (x equated to a set, one
+    strict atom x < z) against the plain closure of the same conjunction:
+    same answer and, when satisfiable, the same class partition.  Two probes
+    share each fresh memo."""
+    from ordhorn.ohsat import closure
+
+    rng = random.Random(909)
+    unsat = 0
+    for _ in range(750):
+        n = rng.randint(2, 6)
+        pivots, pmasks, targets, by_pivot, _, edges = _random_closure_input(rng, n)
+        memo = {}
+        for _ in range(2):
+            x, z = rng.sample(range(n), 2)
+            eqs = [(x, v) for v in range(n) if v != x and rng.random() < 0.3]
+            args = (n, pivots, pmasks, targets, eqs, edges, [(x, z)], [], by_pivot)
+            got = closure(*args, memo=memo)
+            plain = closure(*args)
+            assert (got[0] is None) == (plain[0] is None), args
+            if got[0] is None:
+                unsat += 1
+                assert got[2]
+            else:
+                assert _partition(got[0]) == _partition(plain[0]), args
+    assert unsat > 100

@@ -279,3 +279,28 @@ def test_solve_empty_instance():
 
     verdict = solve(QcspInstance((), (), ()))
     assert verdict.value is True
+
+
+def test_each_probe_is_one_closure_call(monkeypatch):
+    """Each solver probe is one call of the closure the solver imports, and
+    its answer from the base-fixpoint memo is a memo-free closure's."""
+    import ordhorn.solver as solver_module
+    from ordhorn.ohsat import closure
+
+    calls = []
+
+    def checked(*args, memo):
+        got = closure(*args, memo=memo)
+        assert (got[0] is None) == (closure(*args)[0] is None)
+        calls.append(args[6])
+        return got
+
+    monkeypatch.setattr(solver_module, "closure", checked)
+    rng = random.Random(4242)
+    instances = [random_mplus_instance(rng, max_vars=9, max_clauses=10) for _ in range(300)]
+    instances += [parallel_chain(k) for k in range(1, 9)]
+    for inst in instances:
+        calls.clear()
+        assert solve(inst).oracle_calls == len(calls)
+    calls.clear()
+    assert solve(parallel_chain(10)).oracle_calls == len(calls) == 2210
