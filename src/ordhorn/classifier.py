@@ -12,12 +12,14 @@ from typing import Optional
 from .formula import Atom, QcspInstance, QfFormula, flip_order
 from .game import brute_solve
 from .orders import (
+    OP_KEYS,
     ArityTooLarge,
     WeakOrder,
     apply_op,
     enumerate_marked_orders,
     enumerate_weak_orders,
     eval_qf,
+    op_sides,
     relation_of,
 )
 from .relations import TemporalRelation, catalogue
@@ -53,24 +55,70 @@ def _guard_arity(r: TemporalRelation):
         )
 
 
+def _pattern(ranks, positions) -> tuple:
+    """The order of ``ranks`` on ``positions``, as dense ranks."""
+    levels = sorted({ranks[i] for i in positions})
+    return tuple(levels.index(ranks[i]) for i in positions)
+
+
+def _reads(op: str, t1: WeakOrder):
+    """What ``apply_op(op, t1, t2)`` reads, by the key rules of ``OP_KEYS``.
+
+    Returns t1's signature (its sides and its order on the positions where
+    t1 is a key source) and the blocks of positions inside which t2's order
+    is read: a whole side where t2 is primary, each t1-level of a side where
+    t2 is secondary.  A block of one position has one order, so it is left
+    out.
+    """
+    rules = OP_KEYS[op][1]
+    sides = op_sides(op, t1)
+    signature = (tuple(sides), _pattern(t1.ranks, [i for i, s in enumerate(sides) if 1 in rules[s]]))
+    blocks = []
+    for side, (primary, secondary) in enumerate(rules):
+        on_side = [i for i, s in enumerate(sides) if s == side]
+        if primary == 2:
+            blocks.append(tuple(on_side))
+        elif secondary == 2:
+            levels = {}
+            for i in on_side:
+                levels.setdefault(t1.ranks[i], []).append(i)
+            blocks.extend(tuple(level) for level in levels.values())
+    return signature, tuple(b for b in blocks if len(b) > 1)
+
+
 def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
-    """Exhaustive polymorphism check over order-type pairs.
+    """Polymorphism check over order-type pairs, one image per signature.
 
     The first argument ranges over zero-marked weak orders because pp and ll
-    branch on the sign of their first argument; the witness returned is the
-    lexicographically first violating pair in enumeration order.
+    branch on the sign of their first argument.  The image of (t1, t2) reads
+    only t1's signature and t2's order inside the blocks that t1 fixes (see
+    ``_reads``), so pairs that agree on both have the same image.  The scan
+    walks t1 in enumeration order, skips a t1 whose signature was already
+    checked, and pairs it with the first t2 of each block pattern only.  The
+    witness returned is the lexicographically first violating pair in
+    enumeration order: an earlier t1 with the same signature would have
+    violated first, and the first violating t2 is the first of its pattern.
     """
     _guard_arity(r)
     f = r.defn
-    if op == "lex":
-        firsts = [w for w in enumerate_weak_orders(r.arity) if eval_qf(f, w)]
-    else:
-        firsts = [w for w in enumerate_marked_orders(r.arity) if eval_qf(f, w)]
+    first_orders = enumerate_weak_orders if op == "lex" else enumerate_marked_orders
+    firsts = [w for w in first_orders(r.arity) if eval_qf(f, w)]
     seconds = [w for w in enumerate_weak_orders(r.arity) if eval_qf(f, w)]
+    members = {w.ranks for w in seconds}
+    checked = set()
+    representatives = {}  # blocks -> first t2 of each block pattern
     for t1 in firsts:
-        for t2 in seconds:
-            image = apply_op(op, t1, t2)
-            if not eval_qf(f, image):
+        signature, blocks = _reads(op, t1)
+        if signature in checked:
+            continue
+        checked.add(signature)
+        if blocks not in representatives:
+            first = {}
+            for t2 in seconds:
+                first.setdefault(tuple(_pattern(t2.ranks, b) for b in blocks), t2)
+            representatives[blocks] = list(first.values())
+        for t2 in representatives[blocks]:
+            if apply_op(op, t1, t2).ranks not in members:
                 return PreservationResult(False, (t1, t2))
     return PreservationResult(True)
 
@@ -492,7 +540,7 @@ def classify(rels) -> ClassReport:
         if not res:
             dual_all = False
             witnesses.setdefault(f"dual_pp[{idx}]", res.witness)
-        if not is_oh(r):
+        if oh_sem and not is_oh(r):
             oh_sem = False
         if not oh_shape(r.defn):
             oh_syn = False

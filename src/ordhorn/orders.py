@@ -17,7 +17,17 @@ from typing import Iterator, Optional
 
 from .formula import HOLDS, QfFormula
 
-SYMBOLIC_OPS = ("pp", "dual_pp", "ll", "dual_ll", "lex")
+# op -> (side test of t1's rank against the zero marker, (primary, secondary)
+# key sources on side 0 and on side 1).  A source is operand 1 (t1), operand
+# 2 (t2) or 0 (a constant); lex has no side test, so every position is on
+# side 0.
+OP_KEYS = {
+    "pp": ("<=", ((1, 0), (2, 0))),
+    "dual_pp": ("<", ((2, 0), (1, 0))),
+    "ll": ("<=", ((1, 2), (2, 1))),
+    "dual_ll": ("<", ((2, 1), (1, 2))),
+    "lex": (None, ((1, 2), (0, 0))),
+}
 
 MAX_ENUM_ARITY = 8
 
@@ -124,32 +134,37 @@ def ordered_bell(n: int) -> int:
     return a[n]
 
 
+def op_sides(op: str, t1: WeakOrder):
+    """Side of each position under ``op``: 0 when t1's rank passes the
+    operation's test against the zero marker (always, for lex), else 1."""
+    test = OP_KEYS[op][0]
+    if test is None:
+        return [0] * t1.n
+    holds, z = HOLDS[test], t1.zero_rank
+    return [0 if holds(r, z) else 1 for r in t1.ranks]
+
+
 def apply_op(op: str, t1: WeakOrder, t2: WeakOrder) -> WeakOrder:
     """Coordinatewise image order of a binary basic operation.
 
-    pp places positions with t1 <= 0 (ordered by t1) strictly below positions
-    with t1 > 0 (ordered by t2); ll refines the blocks lexicographically; lex
-    orders by (t1, t2).  Duals mirror the block split at 0.
+    Position i is ordered by the key (side, primary, secondary) that
+    ``OP_KEYS`` states for ``op``: pp places positions with t1 <= 0 (ordered
+    by t1) strictly below positions with t1 > 0 (ordered by t2); ll refines
+    the blocks lexicographically; lex orders by (t1, t2).  Duals mirror the
+    block split at 0.
     """
-    if op not in SYMBOLIC_OPS:
+    if op not in OP_KEYS:
         raise ValueError(f"unknown operation {op!r}")
     if t1.n != t2.n:
         raise ValueError("operand orders have different lengths")
     if op != "lex" and t1.zero_rank is None:
         raise ValueError(f"{op} needs a zero marker on its first argument")
-    r1, r2, z = t1.ranks, t2.ranks, t1.zero_rank
+    rules = OP_KEYS[op][1]
+    source = ((0,) * t1.n, t1.ranks, t2.ranks)
     keys = []
-    for i in range(t1.n):
-        if op == "lex":
-            keys.append((r1[i], r2[i]))
-        elif op == "pp":
-            keys.append((0, r1[i], 0) if r1[i] <= z else (1, r2[i], 0))
-        elif op == "dual_pp":
-            keys.append((0, r2[i], 0) if r1[i] < z else (1, r1[i], 0))
-        elif op == "ll":
-            keys.append((0, r1[i], r2[i]) if r1[i] <= z else (1, r2[i], r1[i]))
-        else:  # dual_ll
-            keys.append((0, r2[i], r1[i]) if r1[i] < z else (1, r1[i], r2[i]))
+    for i, side in enumerate(op_sides(op, t1)):
+        primary, secondary = rules[side]
+        keys.append((side, source[primary][i], source[secondary][i]))
     order = {k: i for i, k in enumerate(sorted(set(keys)))}
     return WeakOrder(tuple(order[k] for k in keys))
 

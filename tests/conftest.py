@@ -76,3 +76,23 @@ def random_general_instance(rng: random.Random, max_vars=5, max_clauses=4):
                 atoms.append((other, "<", pivot))
         clauses.append(atoms)
     return make_general(quants, clauses)
+
+
+def _if_chain_key(op, a, b, z):
+    """apply_op's key for one position as an if/elif chain, one branch per op."""
+    if op == "lex":
+        return (a, b)
+    if op == "pp":
+        return (0, a, 0) if a <= z else (1, b, 0)
+    if op == "dual_pp":
+        return (0, b, 0) if a < z else (1, a, 0)
+    if op == "ll":
+        return (0, a, b) if a <= z else (1, b, a)
+    return (0, b, a) if a < z else (1, a, b)  # dual_ll
+
+
+def if_chain_image(op, t1, t2):
+    """The dense ranks of ``apply_op(op, t1, t2)``, computed without its table."""
+    keys = [_if_chain_key(op, a, b, t1.zero_rank) for a, b in zip(t1.ranks, t2.ranks)]
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return tuple(order[k] for k in keys)

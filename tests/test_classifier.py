@@ -25,8 +25,17 @@ from ordhorn.classifier import (
 )
 from ordhorn.formula import Atom, QfFormula
 from ordhorn.game import ResourceLimitError
-from ordhorn.orders import WeakOrder, apply_op, eval_qf, relation_of
-from ordhorn.relations import TemporalRelation, catalogue
+from ordhorn.orders import (
+    WeakOrder,
+    apply_op,
+    enumerate_marked_orders,
+    enumerate_weak_orders,
+    eval_qf,
+    relation_of,
+)
+from ordhorn.relations import TemporalRelation, catalogue, names
+
+from conftest import if_chain_image
 
 
 def rel(arity, *clauses):
@@ -70,6 +79,63 @@ def test_d_violates_pp_with_validated_witness():
     doc_t2 = WeakOrder((0, 0, 0))
     assert eval_qf(f, doc_t1) and eval_qf(f, doc_t2)
     assert not eval_qf(f, apply_op("pp", doc_t1, doc_t2))
+
+
+PRESERVATION_OPS = ("pp", "dual_pp", "ll", "dual_ll", "lex")
+ATOM_OPS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+def _pair_scan(r, op):
+    """The first pair (t1, t2) in enumeration order whose image leaves r,
+    found by checking every pair; None when r is preserved."""
+    f = r.defn
+    marked = enumerate_weak_orders if op == "lex" else enumerate_marked_orders
+    firsts = [w for w in marked(r.arity) if eval_qf(f, w)]
+    seconds = [w for w in enumerate_weak_orders(r.arity) if eval_qf(f, w)]
+    members = {w.ranks for w in seconds}
+    for t1 in firsts:
+        for t2 in seconds:
+            if if_chain_image(op, t1, t2) not in members:
+                return (t1, t2)
+    return None
+
+
+def _random_relation(rng, arity):
+    clauses = [
+        [(rng.randrange(arity), rng.choice(ATOM_OPS), rng.randrange(arity)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3))
+    ]
+    return rel(arity, *clauses)
+
+
+def test_preservation_matches_pair_scan():
+    rng = random.Random(909)
+    rels = [catalogue(name) for name in names() if catalogue(name).arity <= 4]
+    rels += [catalogue("NAE3"), catalogue("NAE4")]
+    # a full pair scan of an arity-4 relation takes about 0.2 s
+    for arity, count in ((2, 100), (3, 170), (4, 30)):
+        rels += [_random_relation(rng, arity) for _ in range(count)]
+    for r in rels:
+        for op in PRESERVATION_OPS:
+            res = is_preserved_by(r, op)
+            witness = _pair_scan(r, op)
+            assert (res.preserved, res.witness) == (witness is None, witness), (r, op)
+
+
+def test_preservation_checks_one_image_per_signature(monkeypatch):
+    images = []
+
+    def counting_apply_op(op, t1, t2):
+        images.append(op)
+        return apply_op(op, t1, t2)
+
+    monkeypatch.setattr("ordhorn.classifier.apply_op", counting_apply_op)
+    nae4 = catalogue("NAE4")
+    # a scan of every pair checks 39,812 images for either op
+    for op, bound in (("pp", 306), ("ll", 6860)):
+        images.clear()
+        assert is_preserved_by(nae4, op)
+        assert 0 < len(images) <= bound, op
 
 
 def test_is_oh():

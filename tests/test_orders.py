@@ -19,6 +19,8 @@ from ordhorn.orders import (
 )
 from ordhorn.relations import catalogue
 
+from conftest import if_chain_image
+
 MPLUS = catalogue("M+").defn
 
 
@@ -109,6 +111,18 @@ def test_lex_injective():
             for j in range(4):
                 if (t1.ranks[i], t2.ranks[i]) != (t1.ranks[j], t2.ranks[j]):
                     assert out.ranks[i] != out.ranks[j]
+
+
+def test_apply_op_matches_if_chain_keys():
+    ops = ("pp", "dual_pp", "ll", "dual_ll", "lex")
+    for n in range(4):
+        plain = list(enumerate_weak_orders(n))
+        pairs = [(t1, t2) for t1 in enumerate_marked_orders(n) for t2 in plain]
+        for op in ops:
+            for t1, t2 in pairs:
+                assert apply_op(op, t1, t2).ranks == if_chain_image(op, t1, t2), (op, t1, t2)
+        for t1, t2 in itertools.product(plain, repeat=2):
+            assert apply_op("lex", t1, t2).ranks == if_chain_image("lex", t1, t2), (t1, t2)
 
 
 def test_apply_op_requires_zero():
