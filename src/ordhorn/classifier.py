@@ -24,7 +24,7 @@ from .orders import (
 )
 from .relations import TemporalRelation, catalogue
 
-MAX_SEMANTIC_ARITY = 6
+MAX_SEMANTIC_ARITY = 5
 
 VERDICT_P = "P"
 VERDICT_HARD = "coNP-hard-unless-GOH-definable"

@@ -237,21 +237,29 @@ def _parse_clause_line(body, line_no, resolve, line):
     return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
 
 
-def parse_instance(text: str) -> QcspInstance:
-    """Parse an instance file (general dialect, named relations expanded)."""
-    names, quants, matrix = [], [], []
-    declared = {}
+def _directives(text: str, header: str):
+    """Yield (line number, line, tokens) for each directive line after the
+    header line, with comments stripped and blank lines skipped."""
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        if not header_seen:
-            if line.strip() != "qcsp v1":
-                raise ParseError("expected header 'qcsp v1'", line_no, 1)
+        if header_seen:
+            yield line_no, line, line.split()
+        elif line.strip() == header:
             header_seen = True
-            continue
-        tokens = line.split()
+        else:
+            raise ParseError(f"expected header {header!r}", line_no, 1)
+    if not header_seen:
+        raise ParseError(f"missing header {header!r}", 1, 1)
+
+
+def parse_instance(text: str) -> QcspInstance:
+    """Parse an instance file (general dialect, named relations expanded)."""
+    names, quants, matrix = [], [], []
+    declared = {}
+    for line_no, line, tokens in _directives(text, "qcsp v1"):
         kind = tokens[0]
         if kind in ("E", "A"):
             if len(tokens) != 2:
@@ -269,8 +277,6 @@ def parse_instance(text: str) -> QcspInstance:
             matrix.extend(_parse_clause_line(body[1], line_no, declared.get, line))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no, 1)
-    if not header_seen:
-        raise ParseError("missing header 'qcsp v1'", 1, 1)
     return QcspInstance(tuple(names), tuple(quants), tuple(matrix))
 
 
@@ -290,18 +296,8 @@ def parse_relation(text: str):
 
     arity = None
     clauses = []
-    header_seen = False
     name = "rel"
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if not header_seen:
-            if line.strip() != "rel v1":
-                raise ParseError("expected header 'rel v1'", line_no, 1)
-            header_seen = True
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _directives(text, "rel v1"):
         if tokens[0] == "arity":
             if arity is not None:
                 raise ParseError("duplicate arity line", line_no, 1)
@@ -324,8 +320,6 @@ def parse_relation(text: str):
             clauses.extend(_parse_clause_line(body, line_no, position, line))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", line_no, 1)
-    if not header_seen:
-        raise ParseError("missing header 'rel v1'", 1, 1)
     if arity is None:
         raise ParseError("missing arity line", 1, 1)
     return TemporalRelation(arity, QfFormula(arity, tuple(clauses)), name)
@@ -411,12 +405,11 @@ def normalize(inst: QcspInstance) -> QcspInstance:
     """Rewrite an instance into the solver dialect over {>=, !=}.
 
     Equalities split into two unit clauses, strict atoms into an order plus a
-    disequality clause.  Duplicate clauses are removed by canonical key.
+    disequality clause.  Duplicate clauses are removed.
     Raises :class:`NotPivotedError` when some clause has no common pivot,
     and :class:`ResourceLimitError` past :data:`MAX_EXPANSION` clauses.
     """
-    seen = {}
-    out = []
+    out = {}  # first occurrence of each clause, in order
     total = 0
     for clause in inst.general_matrix():
         products = _ge_ne_product(clause)
@@ -425,10 +418,6 @@ def normalize(inst: QcspInstance) -> QcspInstance:
             raise ResourceLimitError(f"normalize exceeded {MAX_EXPANSION} clauses")
         for lits in products:
             oh = _to_oh_clause(lits, inst.names)
-            if oh is None:
-                continue
-            k = oh.key()
-            if k not in seen:
-                seen[k] = True
-                out.append(oh)
+            if oh is not None:
+                out.setdefault(oh)
     return QcspInstance(inst.names, inst.quants, tuple(out))

@@ -24,7 +24,7 @@ from typing import Optional
 from .formula import QcspInstance
 from .game import Move
 from .orders import WeakOrder
-from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks
+from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks, clause_key
 
 
 class StrategyUndefinedError(RuntimeError):
@@ -276,7 +276,6 @@ def uncovered_facts(inst: QcspInstance, facts: FactBase, verdict: Verdict):
                 continue
             up_a = ups[min(_bits(mask))] if mask else 0
             partners = up_a & ~(1 << x) & ~(1 << z) & ~cm
-            key = (x, tuple(sorted(_bits(partners))), z)
-            if key not in verdict.clause_keys:
+            if clause_key(x, partners, z) not in verdict.clause_keys:
                 out.append(Fact(x, z, frozenset(_bits(mask))))
     return out

@@ -18,6 +18,10 @@ memo of the clause set's base fixpoint, filled by the first probe after
 the memo is cleared.  ``add_clause`` clears it when a unit clause is added
 and when a new or shrunk partner set lies inside its pivot's base class;
 any other clause cannot fire in the base fixpoint and is read live.
+
+Each clause is held once, as the triple (pivot, partner mask, target).  Log
+events store the mask too and build their ``OhClause`` only when ``.clause``
+is read; :func:`clause_key` gives the sorted-tuple key of ``clause_keys``.
 """
 
 from __future__ import annotations
@@ -33,14 +37,21 @@ class DialectError(ValueError):
     """Matrix clause outside the pure M+ dialect (compile first)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationEvent:
+    """One derivation of the clause x != p for p in ``partners`` (a bit
+    mask) | x >= z, at upward-set start u; ``clause`` builds it on read."""
+
     pass_no: int
     x: int
     z: int
     u: int
-    clause: OhClause
+    partners: int
     duplicate: bool
+
+    @property
+    def clause(self) -> OhClause:
+        return OhClause(self.x, frozenset(_bits(self.partners)), self.z)
 
 
 @dataclass
@@ -68,6 +79,11 @@ class Verdict:
             ),
             "oracle_calls": self.oracle_calls,
         }
+
+
+def clause_key(pivot: int, partners: int, target: int) -> tuple:
+    """The key :meth:`OhClause.key` gives the clause with this partner mask."""
+    return (pivot, tuple(_bits(partners)), target)
 
 
 def up_set(inst: QcspInstance, u: int) -> set:
@@ -126,7 +142,7 @@ def solve(inst: QcspInstance) -> Verdict:
             G.append((u, ups[u]))
     g_vars = [list(_bits(mask)) for _, mask in G]
 
-    clauses = {}
+    clauses = set()  # (pivot, partner mask, target)
     # the oracle sees unit clauses as unconditional edges and, per
     # (pivot, target) pair, only the smallest derived partner set (larger
     # ones are entailed by it); `clauses` still records every clause
@@ -136,42 +152,42 @@ def solve(inst: QcspInstance) -> Verdict:
     pair_slot = {}
     memo = {}  # the base fixpoint of the current clause set, see ohsat
 
-    def add_clause(c: OhClause, m: int, derived_pair=False) -> bool:
-        """Record c, whose partners form the bit mask m; False if known."""
-        k = c.key()
-        if k in clauses:
+    def add_clause(p: int, m: int, t: int, derived_pair=False) -> bool:
+        """Record the clause with pivot p, partner mask m and target t;
+        False if known."""
+        if (p, m, t) in clauses:
             return False
-        clauses[k] = c
-        if c.is_unit():
+        clauses.add((p, m, t))
+        if not m:
             memo.clear()
-            edge_list.append((c.target, c.pivot))
-            slot = pair_slot.get((c.pivot, c.target))
+            edge_list.append((t, p))
+            slot = pair_slot.get((p, t))
             if slot is not None:  # entailed by the unit from now on
-                by_pivot[c.pivot].remove(slot)
-            pair_slot[(c.pivot, c.target)] = None
+                by_pivot[p].remove(slot)
+            pair_slot[(p, t)] = None
             return True
-        slot = pair_slot.get((c.pivot, c.target)) if derived_pair else None
-        if derived_pair and (c.pivot, c.target) in pair_slot:
+        slot = pair_slot.get((p, t)) if derived_pair else None
+        if derived_pair and (p, t) in pair_slot:
             if slot is None:
                 return True  # a unit for this pair already subsumes it
             if m & ~pmasks[slot]:
                 raise RuntimeError("derived partner sets must shrink")
-        if memo and not m & ~memo["cls"][c.pivot]:
+        if memo and not m & ~memo["cls"][p]:
             memo.clear()  # the clause fires in the base fixpoint
         if slot is not None:
             pmasks[slot] = m
             return True
         idx = len(pivots)
-        pivots.append(c.pivot)
+        pivots.append(p)
         pmasks.append(m)
-        targets.append(c.target)
-        by_pivot.setdefault(c.pivot, []).append(idx)
+        targets.append(t)
+        by_pivot.setdefault(p, []).append(idx)
         if derived_pair:
-            pair_slot[(c.pivot, c.target)] = idx
+            pair_slot[(p, t)] = idx
         return True
 
     for c in inst.matrix:
-        add_clause(c, sum(1 << p for p in c.partners))
+        add_clause(c.pivot, sum(1 << q for q in c.partners), c.target)
 
     n_derived = 0
     log = []
@@ -179,7 +195,7 @@ def solve(inst: QcspInstance) -> Verdict:
     known = {}
 
     def rejects(x, z) -> bool:
-        return x < z and quants[z] == "A" and ((x, (), z) in clauses or (z, (), x) in clauses)
+        return x < z and quants[z] == "A" and ((x, 0, z) in clauses or (z, 0, x) in clauses)
 
     def probe(x, z, g) -> bool:
         """True iff phi with x equated to the upward set G[g] and x < z is
@@ -192,12 +208,14 @@ def solve(inst: QcspInstance) -> Verdict:
         )
         return reps is None
 
-    def false_verdict(x, z):
-        unit = clauses.get((x, (), z)) or clauses.get((z, (), x))
-        return Verdict(
-            False, log, unit, (x, z), oracle_calls, pass_no,
-            frozenset(clauses), inst.names,
-        )
+    def verdict(pair=None):
+        """True, or false with the unit clause that rejects the pair."""
+        unit = None
+        if pair is not None:
+            x, z = pair if (pair[0], 0, pair[1]) in clauses else pair[::-1]
+            unit = OhClause(x, frozenset(), z)
+        keys = frozenset(clause_key(*c) for c in clauses)
+        return Verdict(pair is None, log, unit, pair, oracle_calls, pass_no, keys, inst.names)
 
     pass_no = 0
     changed = True
@@ -209,7 +227,7 @@ def solve(inst: QcspInstance) -> Verdict:
                 if x == z:
                     continue
                 if rejects(x, z):
-                    return false_verdict(x, z)
+                    return verdict((x, z))
                 lo = known.get((x, z), 0)
                 last = len(G) - 1
                 while lo <= last:
@@ -228,24 +246,21 @@ def solve(inst: QcspInstance) -> Verdict:
                                 b = mid
                         s = b
                     drop = (1 << x) | (1 << z) | _cut_mask(quants, ups, x, z)
-                    dropped = tuple(_bits(drop))
                     for i in range(lo, s):
                         u, mask = G[i]
-                        c = OhClause(x, frozenset(g_vars[i]).difference(dropped), z)
-                        fresh = add_clause(c, mask & ~drop, derived_pair=True)
-                        log.append(DerivationEvent(pass_no, x, z, u, c, not fresh))
+                        m = mask & ~drop
+                        fresh = add_clause(x, m, z, derived_pair=True)
+                        log.append(DerivationEvent(pass_no, x, z, u, m, not fresh))
                         if fresh:
                             n_derived += 1
                             changed = True
                             if n_derived > n * n * (n + 1):
                                 raise RuntimeError("derived-clause bound violated")
-                            if c.is_unit() and rejects(x, z):
-                                return false_verdict(x, z)
+                            if not m and rejects(x, z):
+                                return verdict((x, z))
                     lo = s
                 known[(x, z)] = lo
-    return Verdict(
-        True, log, None, None, oracle_calls, pass_no, frozenset(clauses), inst.names
-    )
+    return verdict()
 
 
 def _fresh(names_taken, base):
@@ -302,7 +317,4 @@ def compile_to_mplus(inst: QcspInstance) -> QcspInstance:
             names.append(z1)
             quants.append("A")
             emit_chain(c.pivot, partners, len(names) - 1, j)
-    dedup = {}
-    for c in out:
-        dedup.setdefault(c.key(), c)
-    return QcspInstance(tuple(names), tuple(quants), tuple(dedup.values()))
+    return QcspInstance(tuple(names), tuple(quants), tuple(dict.fromkeys(out)))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,16 @@ C x5 >= x1
 @pytest.fixture
 def running_example():
     return parse_instance(RUNNING_EXAMPLE)
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak, in bytes, of running fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_instance(quants, clauses, names=None):

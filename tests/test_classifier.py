@@ -56,6 +56,10 @@ def test_mminus_preserved_by_dual_pp():
     assert not is_preserved_by(catalogue("M-"), "pp")
 
 
+def test_arity_five_is_within_the_semantic_bound():
+    assert is_preserved_by(catalogue("NAE5"), "pp")
+
+
 def test_sm_violates_pp_with_validated_witness():
     res = is_preserved_by(catalogue("SM"), "pp")
     assert not res

@@ -191,6 +191,15 @@ def test_classify_ignores_repeated_disjunct(tmp_path, capsys):
     assert reports[1] == reports[0]
 
 
+def test_classify_past_the_arity_bound_exits_4(tmp_path, capsys):
+    # unbounded, NAE6 under ll ran for minutes; arity 6 is refused at once
+    path = tmp_path / "nae6.rel"
+    path.write_text("rel v1\nname NAE6\narity 6\nC NAE6 x1 x2 x3 x4 x5 x6\n")
+    code, _, err = run(capsys, "classify", path)
+    assert code == 4
+    assert "arity 6 exceeds the semantic-check bound 5" in err
+
+
 def test_compile_writes_pure_mplus(tmp_path, capsys):
     out_file = tmp_path / "compiled.qcsp"
     code, _, _ = run(capsys, "compile", FIXTURES / "reject-cascade.qcsp", "-o", out_file)

@@ -1,7 +1,6 @@
 """Parsing, printing, and normalization."""
 
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from ordhorn.formula import (
 from ordhorn.game import ResourceLimitError, brute_solve
 from ordhorn.reductions import parse_dimacs
 
-from conftest import make_general, random_general_instance
+from conftest import make_general, peak_bytes, random_general_instance
 
 
 def test_parse_minimal_named_relation():
@@ -240,22 +239,13 @@ def test_parse_relation_errors():
 # --- parse cost and grammar fuzzing -------------------------------------------
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_relation_arity_is_checked_before_expansion():
     # the argument count is compared with NAE's arity before any clause exists
     def parse():
         with pytest.raises(ParseError, match="expects 1000000 arguments, got 2"):
             parse_instance("qcsp v1\nE x\nE y\nC NAE1000000 x y\n")
 
-    assert _peak_bytes(parse) < 5 * 2**20
+    assert peak_bytes(parse) < 5 * 2**20
 
 
 def test_position_names_need_no_table_of_the_arity():
@@ -263,14 +253,14 @@ def test_position_names_need_no_table_of_the_arity():
         rel = parse_relation("rel v1\narity 1000000\nC x1 >= x1000000\n")
         assert rel.defn.clauses == ((Atom(0, ">=", 999999),),)
 
-    assert _peak_bytes(parse) < 5 * 2**20
+    assert peak_bytes(parse) < 5 * 2**20
 
 
 def _cli_exit_and_peak(tmp_path, command, text):
     path = tmp_path / "input"
     path.write_text(text)
     codes = []
-    peak = _peak_bytes(lambda: codes.append(main([command, str(path)])))
+    peak = peak_bytes(lambda: codes.append(main([command, str(path)])))
     return codes[0], peak
 
 

@@ -1,5 +1,6 @@
 """Algorithm-level tests for the clause-deriving solver and the compiler."""
 
+import dataclasses
 import json
 import random
 
@@ -10,7 +11,7 @@ from ordhorn.game import brute_solve
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.solver import DialectError, compile_to_mplus, cut_set, solve, up_set
 
-from conftest import make_general, make_instance
+from conftest import make_general, make_instance, peak_bytes
 
 
 @pytest.fixture
@@ -142,6 +143,19 @@ def test_log_is_replayable(running_oh):
         assert not oh_sat(conj), ev
         if not ev.duplicate:
             clause_set.append(ev.clause)
+
+
+def test_log_events_hold_only_ints_and_bools():
+    verdict = solve(parallel_chain(4))
+    assert verdict.log
+    for ev in verdict.log:
+        for field in dataclasses.fields(ev):
+            assert type(getattr(ev, field.name)) in (int, bool), field.name
+
+
+def test_solve_memory_stays_small():
+    # 11,690 log events: a frozenset of partners per event would take 19 MB
+    assert peak_bytes(lambda: solve(parallel_chain(20))) < 10 * 2**20
 
 
 # --- compile_to_mplus ---------------------------------------------------------
