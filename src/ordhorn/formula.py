@@ -237,6 +237,13 @@ def _parse_clause_line(body, line_no, resolve, line):
     return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
 
 
+def decimal(token: str) -> int:
+    """int(token) for plain decimals only: int also reads 1_0 and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", token):
+        raise ValueError(f"not a plain decimal: {token!r}")
+    return int(token)
+
+
 def _directives(text: str, header: str):
     """Yield (line number, line, tokens) for each directive line after the
     header line, with comments stripped and blank lines skipped."""
@@ -302,7 +309,7 @@ def parse_relation(text: str):
             if arity is not None:
                 raise ParseError("duplicate arity line", line_no, 1)
             try:
-                (arity,) = map(int, tokens[1:])
+                (arity,) = map(decimal, tokens[1:])
             except ValueError:
                 raise ParseError("malformed arity line", line_no, 1)
             if arity < 0:

@@ -21,10 +21,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import QcspInstance
+from .formula import OhClause, QcspInstance
 from .game import Move
 from .orders import WeakOrder
-from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks, clause_key
+from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks
 
 
 class StrategyUndefinedError(RuntimeError):
@@ -276,6 +276,6 @@ def uncovered_facts(inst: QcspInstance, facts: FactBase, verdict: Verdict):
                 continue
             up_a = ups[min(_bits(mask))] if mask else 0
             partners = up_a & ~(1 << x) & ~(1 << z) & ~cm
-            if clause_key(x, partners, z) not in verdict.clause_keys:
+            if OhClause(x, frozenset(_bits(partners)), z).key() not in verdict.clause_keys:
                 out.append(Fact(x, z, frozenset(_bits(mask))))
     return out

@@ -12,9 +12,8 @@ fire with f < t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from .formula import ParseError, QcspInstance, parse_instance
+from .formula import ParseError, QcspInstance, decimal, parse_instance
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,8 @@ class Cnf3:
 
 def parse_dimacs(text: str) -> Cnf3:
     """Parse DIMACS cnf; clauses shorter than 3 are padded by repetition."""
-    n = None
-    expected = None
-    clauses: List[tuple] = []
-    pending: List[int] = []
+    n = expected = header_line = None
+    clauses, pending = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -50,7 +47,7 @@ def parse_dimacs(text: str) -> Cnf3:
             if n is not None:
                 raise ParseError("duplicate DIMACS header", line_no, 1)
             try:
-                n, expected = int(parts[2]), int(parts[3])
+                n, expected, header_line = decimal(parts[2]), decimal(parts[3]), line_no
             except ValueError:
                 raise ParseError("malformed DIMACS header", line_no, 1)
             if n < 0:
@@ -60,7 +57,7 @@ def parse_dimacs(text: str) -> Cnf3:
             raise ParseError("clause before header", line_no, 1)
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = decimal(tok)
             except ValueError:
                 raise ParseError(f"bad literal {tok!r}", line_no, 1)
             if lit == 0:
@@ -76,12 +73,13 @@ def parse_dimacs(text: str) -> Cnf3:
                 if abs(lit) > n:
                     raise ParseError(f"literal {lit} out of range", line_no, 1)
                 pending.append(lit)
+                pending_line = line_no
     if n is None:
         raise ParseError("missing DIMACS header", 1, 1)
     if pending:
-        raise ParseError("clause line without trailing 0", 1, 1)
+        raise ParseError("clause line without trailing 0", pending_line, 1)
     if expected is not None and expected != len(clauses):
-        raise ParseError(f"header announced {expected} clauses, found {len(clauses)}", 1, 1)
+        raise ParseError(f"header announced {expected} clauses, found {len(clauses)}", header_line, 1)
     return Cnf3(n, tuple(clauses))
 
 

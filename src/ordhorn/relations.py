@@ -64,7 +64,7 @@ ALIASES = {
 }
 
 # at most 9 digits: no argument list in a file could match a larger arity
-_NAE = re.compile(r"^NAE(\d{1,9})$")
+_NAE = re.compile(r"^NAE([0-9]{1,9})$")
 
 
 def arity_of(name: str) -> Optional[int]:

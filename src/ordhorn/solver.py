@@ -19,14 +19,17 @@ the memo is cleared.  ``add_clause`` clears it when a unit clause is added
 and when a new or shrunk partner set lies inside its pivot's base class;
 any other clause cannot fire in the base fixpoint and is read live.
 
-Each clause is held once, as the triple (pivot, partner mask, target).  Log
-events store the mask too and build their ``OhClause`` only when ``.clause``
-is read; :func:`clause_key` gives the sorted-tuple key of ``clause_keys``.
+The derivation log is the one record of derived clauses; events hold
+(pivot, partner mask, target) and build their ``OhClause`` on read.  Each
+pair derives a prefix of the nested upward sets, so an event repeats a
+clause iff its mask is its predecessor's or the clause is an input: its
+``duplicate`` flag.  ``Verdict.clause_keys`` is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .formula import OhClause, QcspInstance, normalize
@@ -62,13 +65,18 @@ class Verdict:
     rejecting_pair: Optional[tuple]
     oracle_calls: int
     passes: int
-    clause_keys: frozenset
+    matrix: tuple
     names: tuple
 
     @property
     def derived(self) -> list:
         """Clauses of the non-duplicate log events, in derivation order."""
         return [e.clause for e in self.log if not e.duplicate]
+
+    @cached_property
+    def clause_keys(self) -> frozenset:
+        """Keys of the input and derived clauses, built on first read."""
+        return frozenset(c.key() for c in (*self.matrix, *self.derived))
 
     def to_json_dict(self):
         return {
@@ -79,11 +87,6 @@ class Verdict:
             ),
             "oracle_calls": self.oracle_calls,
         }
-
-
-def clause_key(pivot: int, partners: int, target: int) -> tuple:
-    """The key :meth:`OhClause.key` gives the clause with this partner mask."""
-    return (pivot, tuple(_bits(partners)), target)
 
 
 def up_set(inst: QcspInstance, u: int) -> set:
@@ -136,47 +139,37 @@ def solve(inst: QcspInstance) -> Verdict:
     quants = inst.quants
     ups = _upset_masks(quants)
     # distinct upward sets with the first prefix position attaining each
-    G = []
-    for u in range(n):
-        if not G or ups[u] != G[-1][1]:
-            G.append((u, ups[u]))
+    G = [(u, ups[u]) for u in range(n) if u == 0 or ups[u] != ups[u - 1]]
     g_vars = [list(_bits(mask)) for _, mask in G]
 
-    clauses = set()  # (pivot, partner mask, target)
-    # the oracle sees unit clauses as unconditional edges and, per
-    # (pivot, target) pair, only the smallest derived partner set (larger
-    # ones are entailed by it); `clauses` still records every clause
+    units = set()  # (pivot, target) of every unit clause, input or derived
+    # the oracle sees units as unconditional edges and, per (pivot, target)
+    # pair, only the smallest derived partner set (it entails larger ones)
     pivots, pmasks, targets = [], [], []
     by_pivot = {}
     edge_list = []
     pair_slot = {}
     memo = {}  # the base fixpoint of the current clause set, see ohsat
 
-    def add_clause(p: int, m: int, t: int, derived_pair=False) -> bool:
-        """Record the clause with pivot p, partner mask m and target t;
-        False if known."""
-        if (p, m, t) in clauses:
-            return False
-        clauses.add((p, m, t))
+    def add_clause(p: int, m: int, t: int, derived_pair=False):
+        """Hand a new clause (pivot p, partner mask m, target t) to the oracle."""
+        slot = pair_slot.get((p, t))
         if not m:
             memo.clear()
             edge_list.append((t, p))
-            slot = pair_slot.get((p, t))
+            units.add((p, t))
             if slot is not None:  # entailed by the unit from now on
                 by_pivot[p].remove(slot)
-            pair_slot[(p, t)] = None
-            return True
-        slot = pair_slot.get((p, t)) if derived_pair else None
-        if derived_pair and (p, t) in pair_slot:
-            if slot is None:
-                return True  # a unit for this pair already subsumes it
-            if m & ~pmasks[slot]:
-                raise RuntimeError("derived partner sets must shrink")
+            return
+        if derived_pair and (p, t) in units:
+            return  # the unit already subsumes it
         if memo and not m & ~memo["cls"][p]:
             memo.clear()  # the clause fires in the base fixpoint
         if slot is not None:
+            if m & ~pmasks[slot]:
+                raise RuntimeError("derived partner sets must shrink")
             pmasks[slot] = m
-            return True
+            return
         idx = len(pivots)
         pivots.append(p)
         pmasks.append(m)
@@ -184,10 +177,11 @@ def solve(inst: QcspInstance) -> Verdict:
         by_pivot.setdefault(p, []).append(idx)
         if derived_pair:
             pair_slot[(p, t)] = idx
-        return True
 
-    for c in inst.matrix:
-        add_clause(c.pivot, sum(1 << q for q in c.partners), c.target)
+    # the distinct matrix clauses as (pivot, partner mask, target), in order
+    inputs = dict.fromkeys((c.pivot, sum(1 << q for q in c.partners), c.target) for c in inst.matrix)
+    for clause in inputs:
+        add_clause(*clause)
 
     n_derived = 0
     log = []
@@ -195,27 +189,24 @@ def solve(inst: QcspInstance) -> Verdict:
     known = {}
 
     def rejects(x, z) -> bool:
-        return x < z and quants[z] == "A" and ((x, 0, z) in clauses or (z, 0, x) in clauses)
+        return x < z and quants[z] == "A" and ((x, z) in units or (z, x) in units)
 
     def probe(x, z, g) -> bool:
-        """True iff phi with x equated to the upward set G[g] and x < z is
-        UNSAT."""
+        """True iff phi with x equated to the upward set G[g] and x < z is UNSAT."""
         nonlocal oracle_calls
         oracle_calls += 1
         eqs = [(x, v) for v in g_vars[g] if v != x and v != z]
-        reps, _, _, _ = closure(
+        return closure(
             n, pivots, pmasks, targets, eqs, edge_list, [(x, z)], [], by_pivot, memo=memo
-        )
-        return reps is None
+        )[0] is None
 
     def verdict(pair=None):
         """True, or false with the unit clause that rejects the pair."""
         unit = None
         if pair is not None:
-            x, z = pair if (pair[0], 0, pair[1]) in clauses else pair[::-1]
+            x, z = pair if pair in units else pair[::-1]
             unit = OhClause(x, frozenset(), z)
-        keys = frozenset(clause_key(*c) for c in clauses)
-        return Verdict(pair is None, log, unit, pair, oracle_calls, pass_no, keys, inst.names)
+        return Verdict(pair is None, log, unit, pair, oracle_calls, pass_no, inst.matrix, inst.names)
 
     pass_no = 0
     changed = True
@@ -246,12 +237,16 @@ def solve(inst: QcspInstance) -> Verdict:
                                 b = mid
                         s = b
                     drop = (1 << x) | (1 << z) | _cut_mask(quants, ups, x, z)
+                    prev = G[lo - 1][1] & ~drop if lo else None
                     for i in range(lo, s):
                         u, mask = G[i]
                         m = mask & ~drop
-                        fresh = add_clause(x, m, z, derived_pair=True)
+                        # nested masks: m is a repeat iff it is its predecessor or an input
+                        fresh = m != prev and (x, m, z) not in inputs
+                        prev = m
                         log.append(DerivationEvent(pass_no, x, z, u, m, not fresh))
                         if fresh:
+                            add_clause(x, m, z, derived_pair=True)
                             n_derived += 1
                             changed = True
                             if n_derived > n * n * (n + 1):

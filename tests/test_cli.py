@@ -278,6 +278,26 @@ def test_reduce_writes_no_gadget_for_bad_cnf(tmp_path, capsys, text, message):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("classify", "r.rel", "rel v1\narity 1_0\n", "malformed arity line"),
+        ("classify", "r.rel", "rel v1\narity \uff13\n", "malformed arity line"),
+        ("reduce-3cnf", "f.cnf", "p cnf 1_0 1\n1 1 1 0\n", "malformed DIMACS header"),
+        ("reduce-3cnf", "f.cnf", "p cnf 1 1\n+1 1 1 0\n", "bad literal"),
+        ("solve", "i.qcsp", "qcsp v1\nE a\nE b\nE c\nC NAE\uff13 a b c\n", "unknown relation"),
+    ],
+)
+def test_counts_and_literals_are_plain_decimals(tmp_path, capsys, command, name, text, message):
+    """int() reads 1_0 as 10, a fullwidth 3 as 3 and +1 as 1, and a regex's
+    \\d matches non-ASCII digits; the file formats take only ASCII digits."""
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, bad)
+    assert code == 3
+    assert out == "" and message in err
+
+
 def test_syntax_error_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.qcsp"
     bad.write_text("qcsp v1\nE x1\nE x2\nC x1 >> x2\n")

@@ -40,6 +40,15 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 1 1\n")
 
 
+def test_parse_dimacs_end_of_file_errors_name_their_line():
+    with pytest.raises(ParseError, match="header announced 2 clauses, found 1") as err:
+        parse_dimacs("c x\np cnf 3 2\n1 2 3 0\n")
+    assert (err.value.line, err.value.col) == (2, 1)  # the header's line
+    with pytest.raises(ParseError, match="trailing 0") as err:
+        parse_dimacs("c x\np cnf 3 2\n1 2 3 0\n\n-1 2\n")
+    assert (err.value.line, err.value.col) == (5, 1)  # the unterminated clause's
+
+
 def test_gadget_needs_a_clause():
     # the empty CNF is satisfiable, but without a clause the upper chain
     # never ties u to t, so the gadget would come out true

@@ -154,8 +154,27 @@ def test_log_events_hold_only_ints_and_bools():
 
 
 def test_solve_memory_stays_small():
+    peak = peak_bytes(lambda: solve(parallel_chain(20)))
     # 11,690 log events: a frozenset of partners per event would take 19 MB
-    assert peak_bytes(lambda: solve(parallel_chain(20))) < 10 * 2**20
+    assert peak < 10 * 2**20
+    # a set of every clause next to the log, and eager clause keys, took 5.3 MB
+    assert peak < 3 * 2**20
+
+
+def test_duplicate_flag_and_clause_keys_follow_their_definition():
+    """An event is a duplicate iff its clause is an input or was derived by
+    an earlier event, and clause_keys holds exactly the input and derived
+    clauses."""
+    rng = random.Random(1111)
+    instances = [random_mplus_instance(rng, max_vars=7, max_clauses=8) for _ in range(300)]
+    for inst in instances + [parallel_chain(k) for k in range(1, 9)]:
+        verdict = solve(inst)
+        seen = {c.key() for c in inst.matrix}
+        for ev in verdict.log:
+            key = ev.clause.key()
+            assert ev.duplicate == (key in seen), print_instance(inst)
+            seen.add(key)
+        assert verdict.clause_keys == seen, print_instance(inst)
 
 
 # --- compile_to_mplus ---------------------------------------------------------
