@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .formula import Atom, QcspInstance, QfFormula, flip_order
@@ -123,9 +125,100 @@ def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
     return PreservationResult(True)
 
 
+# ---------------------------------------------------------------------------
+# clause hulls
+#
+# A relation is defined by clauses of a family iff every order type outside
+# it falsifies some clause of the family that holds on all of it.  For the
+# two families below the weakest clause that an order type t falsifies is
+# fixed by t alone, so each test is one pass over the order types outside R.
+# Order types are held as bitsets of ordered position pairs, bit a*n + b.
+
+
+def _pair_masks(ranks) -> tuple:
+    """(eq, lt, gt): the pairs (a, b) with ranks[a] equal to, below and above ranks[b]."""
+    n = len(ranks)
+    eq = lt = gt = 0
+    for a, ra in enumerate(ranks):
+        for b, rb in enumerate(ranks):
+            bit = 1 << (a * n + b)
+            if ra == rb:
+                eq |= bit
+            elif ra < rb:
+                lt |= bit
+            else:
+                gt |= bit
+    return eq, lt, gt
+
+
+def _order_types(r: TemporalRelation):
+    """The pair masks of every order type on r's positions: (in r, outside r)."""
+    members, outside = [], []
+    for w in enumerate_weak_orders(r.arity):
+        (members if eval_qf(r.defn, w) else outside).append(_pair_masks(w.ranks))
+    return members, outside
+
+
+def _oh_hull(members, outside) -> bool:
+    """No order type outside R survives every valid Ord-Horn clause."""
+    lt_by_eq = {}  # eq mask -> OR of the lt masks of the members with that eq mask
+    for eq, lt, _ in members:
+        lt_by_eq[eq] = lt_by_eq.get(eq, 0) | lt
+    hull = {}  # E(t) -> U(E(t)), or None when no member makes every pair of E(t) equal
+    for eq, lt, _ in outside:
+        if eq not in hull:
+            fits = [u for e, u in lt_by_eq.items() if eq & ~e == 0]
+            hull[eq] = reduce(or_, fits) if fits else None
+        if hull[eq] is not None and lt & ~hull[eq] == 0:
+            return False
+    return True
+
+
+def _pp_hull(members, outside, n: int, up: int) -> bool:
+    """No order type outside R survives every valid pp clause; ``up`` picks
+    the lt masks (pp) or the gt masks (dual pp) as "above the pivot"."""
+    rows = [((1 << n) - 1) << (x * n) for x in range(n)]
+    seen = [{(m[0] & row, m[up] & row) for m in members} for row in rows]
+    covered = {}  # (pivot, Y, Z) -> some member puts Y level with and Z above the pivot
+    for t in outside:
+        for x, row in enumerate(rows):
+            y, z = t[0] & row, t[up] & row
+            if (x, y, z) not in covered:
+                covered[x, y, z] = any(y & ~e == 0 and z & ~u == 0 for e, u in seen[x])
+            if not covered[x, y, z]:
+                break  # t falsifies the valid clause with pivot x
+        else:
+            return False
+    return True
+
+
+def hull_flags(r: TemporalRelation) -> tuple:
+    """(Ord-Horn, preserved by pp, preserved by dual pp), decided by the
+    clause hulls of ``is_oh`` and ``classify`` over one enumeration of r."""
+    _guard_arity(r)
+    members, outside = _order_types(r)
+    return (
+        _oh_hull(members, outside),
+        _pp_hull(members, outside, r.arity, 1),
+        _pp_hull(members, outside, r.arity, 2),
+    )
+
+
 def is_oh(r: TemporalRelation) -> bool:
-    """Ord-Horn membership via preservation by ll and dual ll."""
-    return bool(is_preserved_by(r, "ll")) and bool(is_preserved_by(r, "dual_ll"))
+    """Ord-Horn membership (equivalently: preserved by ll and dual ll) by the
+    Ord-Horn clause hull.
+
+    An Ord-Horn clause is a disjunction of disequalities and at most one
+    ``a <= b``.  The weakest one falsified by an order type t has the
+    disequalities of every pair that t makes equal (E) and, optionally, one
+    ``b <= a`` with t_a < t_b.  With M the members r of R where E is equal,
+    t is excluded iff M is empty or some pair a, b with t_a < t_b has no r in
+    M with r_a < r_b.  So R is Ord-Horn iff no t outside R has M nonempty
+    and lt(t) within U(E), the union of lt(r) over M; U is computed once per
+    equality pattern.
+    """
+    _guard_arity(r)
+    return _oh_hull(*_order_types(r))
 
 
 def _oriented(clause):
@@ -522,8 +615,31 @@ def _levels(w: WeakOrder):
     return [[str(p) for p in lev] for lev in w.levels()]
 
 
+def _witness(r: TemporalRelation, op: str):
+    """The signature scan's first violating pair, which a failed hull promises."""
+    res = is_preserved_by(r, op)
+    if res:
+        raise RuntimeError(f"the {op} clause hull and the signature scan disagree on {r.name}")
+    return res.witness
+
+
 def classify(rels) -> ClassReport:
     """Flags and the tractability verdict for a finite set of relations.
+
+    Each relation's order types are enumerated once, and the three semantic
+    flags come from clause hulls over them (see ``hull_flags``):
+
+    - Ord-Horn: the hull of ``is_oh``.
+    - pp: a relation is preserved by pp iff it is a conjunction of clauses
+      x != y1 | ... | x != yk | x >= z1 | ... | x >= zm (Bodirsky and Kára,
+      J. ACM 57(2), 2010).  The weakest such clause that an order type t
+      falsifies with pivot x takes every y with t_y = t_x and every z with
+      t_z > t_x.  So t is excluded iff some pivot x has no r in R with r_y =
+      r_x for all those y and r_z > r_x for all those z.
+    - dual pp: the same test on mirrored ranks (r_z < r_x for t_z < t_x).
+
+    Only a relation that a pp or dual-pp hull rejects is scanned by
+    ``is_preserved_by``, for the witness pair of its report.
 
     The hard verdict is conditional: GOH-definability has no decision
     procedure here, so a failed parse never certifies hardness on its own.
@@ -532,15 +648,14 @@ def classify(rels) -> ClassReport:
     pp_all = dual_all = True
     oh_sem = oh_syn = shape_all = goh_all = True
     for idx, r in enumerate(rels):
-        res = is_preserved_by(r, "pp")
-        if not res:
+        oh, pp, dual_pp = hull_flags(r)
+        if not pp:
             pp_all = False
-            witnesses.setdefault(f"pp[{idx}]", res.witness)
-        res = is_preserved_by(r, "dual_pp")
-        if not res:
+            witnesses[f"pp[{idx}]"] = _witness(r, "pp")
+        if not dual_pp:
             dual_all = False
-            witnesses.setdefault(f"dual_pp[{idx}]", res.witness)
-        if oh_sem and not is_oh(r):
+            witnesses[f"dual_pp[{idx}]"] = _witness(r, "dual_pp")
+        if not oh:
             oh_sem = False
         if not oh_shape(r.defn):
             oh_syn = False

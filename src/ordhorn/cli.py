@@ -15,6 +15,7 @@ from .formula import (
     NotPivotedError,
     ParseError,
     QcspInstance,
+    decimal,
     flip_order,
     normalize,
     parse_instance,
@@ -41,8 +42,8 @@ _FLAG_HELP = {
 
 
 def non_negative_int(text):
-    """argparse type of the count and limit options."""
-    value = int(text)
+    """argparse type of the count and limit options: plain decimals only."""
+    value = decimal(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value

@@ -13,6 +13,7 @@ from ordhorn.classifier import (
     elim_min,
     gadget_relation,
     goh_syntactic,
+    hull_flags,
     is_oh,
     is_preserved_by,
     mu_relation,
@@ -120,10 +121,44 @@ def test_preservation_matches_pair_scan():
     for arity, count in ((2, 100), (3, 170), (4, 30)):
         rels += [_random_relation(rng, arity) for _ in range(count)]
     for r in rels:
+        preserved = {}
         for op in PRESERVATION_OPS:
             res = is_preserved_by(r, op)
             witness = _pair_scan(r, op)
             assert (res.preserved, res.witness) == (witness is None, witness), (r, op)
+            preserved[op] = res.preserved
+        oh = preserved["ll"] and preserved["dual_ll"]
+        assert hull_flags(r) == (oh, preserved["pp"], preserved["dual_pp"]), r
+
+
+def _random_multi_pivot(rng, arity):
+    """1-3 clauses, each of 2-3 order disjuncts a < b or a <= b with at
+    least two distinct pivots a, plus at most one disequality."""
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        clause = []
+        while len({a for a, _, _ in clause}) < 2:
+            pairs = [rng.sample(range(arity), 2) for _ in range(rng.randint(2, 3))]
+            clause = [(a, rng.choice(("<", "<=")), b) for a, b in pairs]
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(arity), 2)
+            clause.append((a, "!=", b))
+        clauses.append(clause)
+    return rel(arity, *clauses)
+
+
+def test_hulls_match_signature_scan_beyond_ord_horn():
+    # the catalogue and the random family above are mostly Ord-Horn; these
+    # clauses carry several order disjuncts without a common pivot
+    rng = random.Random(4242)
+    rels = [_random_multi_pivot(rng, arity) for arity in (3, 4) for _ in range(20)]
+    non_oh = 0
+    for r in rels:
+        oh = bool(is_preserved_by(r, "ll")) and bool(is_preserved_by(r, "dual_ll"))
+        flags = (oh, bool(is_preserved_by(r, "pp")), bool(is_preserved_by(r, "dual_pp")))
+        assert hull_flags(r) == flags, r
+        non_oh += not oh
+    assert non_oh >= len(rels) // 2
 
 
 def test_preservation_checks_one_image_per_signature(monkeypatch):
@@ -436,6 +471,26 @@ def test_classify_mplus_with_sm_is_hard():
     blob = report.to_json_dict()
     assert blob["verdict"] == VERDICT_HARD
     assert any(key.startswith("pp[") for key in blob["witnesses"])
+
+
+def test_classify_scans_only_for_witnesses(monkeypatch):
+    # the hulls decide every flag; a signature scan runs only to find the
+    # witness of a pp or dual-pp violation, and never under ll
+    scanned = []
+
+    def recording_scan(r, op):
+        scanned.append(op)
+        return is_preserved_by(r, op)
+
+    monkeypatch.setattr("ordhorn.classifier.is_preserved_by", recording_scan)
+    classify([catalogue("M+")])
+    assert scanned == ["dual_pp"]
+    scanned.clear()
+    classify([catalogue("NAE4")])
+    assert scanned == []
+    report = classify([catalogue("M+"), catalogue("SM"), BETW_LIKE])
+    assert not report.oh_semantic
+    assert scanned and not {"ll", "dual_ll"} & set(scanned)
 
 
 def test_catalogue_structures():

@@ -369,6 +369,21 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "x.qcsp", "--cap", "1_0"],
+        ["brute", "x.qcsp", "--max-nodes", "\uff13"],  # fullwidth 3
+    ],
+)
+def test_counts_take_plain_decimals_only(argv, capsys):
+    # int() would read 1_0 as 10 and a fullwidth digit as its value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid non_negative_int value" in capsys.readouterr().err
+
+
 def test_selftest_reduced(capsys):
     code, out, _ = run(capsys, "selftest", "--rounds", "25", "--seed", "1")
     assert code == 0
