@@ -104,7 +104,7 @@ def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
     _guard_arity(r)
     f = r.defn
     first_orders = enumerate_weak_orders if op == "lex" else enumerate_marked_orders
-    firsts = [w for w in first_orders(r.arity) if eval_qf(f, w)]
+    firsts = (w for w in first_orders(r.arity) if eval_qf(f, w))  # lazy: stop at a witness
     seconds = [w for w in enumerate_weak_orders(r.arity) if eval_qf(f, w)]
     members = {w.ranks for w in seconds}
     checked = set()

@@ -7,6 +7,7 @@ errors, 3 on input errors, 4 on resource limits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -216,7 +217,9 @@ def _cmd_selftest(args):
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(prog="ordhorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

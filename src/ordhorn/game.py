@@ -4,10 +4,16 @@ Moves are order positions rather than rationals: a player picks an existing
 level or a gap.  Homogeneity of (Q,<) makes this finite abstraction sound.
 Memoization projects out assigned variables that no longer occur in any
 unresolved clause.
+
+A node re-checks only the open clauses that mention the variable placed last
+(the root checks them all).  That is enough: a gap move shifts ranks but keeps
+every order relation among the placed variables, so a clause that the new
+variable does not occur in keeps the status it had one node up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -23,9 +29,11 @@ class Move(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
-def legal_moves(n_levels: int):
-    """Equalities first, then gaps bottom-up."""
-    return [Move("eq", i) for i in range(n_levels)] + [Move("gap", g) for g in range(n_levels + 1)]
+@functools.cache
+def legal_moves(n_levels: int) -> tuple:
+    """Equalities first, then gaps bottom-up; built once per level count."""
+    eqs = [Move("eq", i) for i in range(n_levels)]
+    return tuple(eqs + [Move("gap", g) for g in range(n_levels + 1)])
 
 
 def play(ranks: list, var: int, move: Move, n_levels: int) -> int:
@@ -70,6 +78,27 @@ def _clause_status(clause, ranks, next_var):
     return -1 if all_false else 0
 
 
+def _watch_lists(matrix, n):
+    """For each variable, the set of indices of the clauses it occurs in."""
+    occurs = [{v for a in c for v in (a.left, a.right)} for c in matrix]
+    return [{ci for ci, vs in enumerate(occurs) if v in vs} for v in range(n)]
+
+
+def _recheck(matrix, open_ids, watched, ranks, next_var):
+    """(first falsified clause or None, clauses still open), re-checking only
+    the open clauses in ``watched``; the open ones keep their order."""
+    still_open = []
+    for ci in open_ids:
+        if ci in watched:
+            s = _clause_status(matrix[ci], ranks, next_var)
+            if s < 0:
+                return ci, None
+            if s:
+                continue
+        still_open.append(ci)
+    return None, still_open
+
+
 def brute_solve(
     inst: QcspInstance,
     max_vars: int = 12,
@@ -91,6 +120,8 @@ def brute_solve(
     matrix = inst.general_matrix()
     quants = inst.quants
     clause_vars = [sorted({v for a in c for v in (a.left, a.right)}) for c in matrix]
+    watch = _watch_lists(matrix, n)
+    every, start = range(len(matrix)), len(prefix)
     memo = {}
     nodes = 0
 
@@ -99,13 +130,10 @@ def brute_solve(
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
-        still_open = []
-        for ci in open_ids:
-            s = _clause_status(matrix[ci], ranks, next_var)
-            if s < 0:
-                return (False, None)
-            if s == 0:
-                still_open.append(ci)
+        watched = watch[next_var - 1] if next_var > start else every
+        falsified, still_open = _recheck(matrix, open_ids, watched, ranks, next_var)
+        if falsified is not None:
+            return (False, None)
         if not still_open:
             return (True, {} if emit_strategy else None)
         if next_var == n:
@@ -147,8 +175,11 @@ def brute_solve(
             memo[key] = value
         return (value, strat if value else None)
 
-    ranks = list(prefix) + [None] * (n - len(prefix))
-    value, strat = search(len(prefix), ranks, n_levels, list(range(len(matrix))))
+    ranks = list(prefix) + [None] * (n - start)
+    try:
+        value, strat = search(start, ranks, n_levels, list(every))
+    finally:
+        memo.clear()  # search refers to itself, so only the collector frees it
     return GameVerdict(value, nodes, strat if (emit_strategy and value) else None)
 
 
@@ -163,23 +194,20 @@ def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
     matrix = inst.general_matrix()
     quants = inst.quants
     names = inst.names
+    watch = _watch_lists(matrix, n)
+    every = range(len(matrix))
     trace = []
 
     def rec(next_var, ranks, n_levels, open_ids):
-        still_open = []
-        for ci in open_ids:
-            s = _clause_status(matrix[ci], ranks, next_var)
-            if s < 0:
-                clause_text = " | ".join(a.text(names) for a in matrix[ci])
-                return GameOutcome(False, list(trace), clause_text)
-            if s == 0:
-                still_open.append(ci)
-        if not still_open:
-            return None
-        if next_var == n:
-            ci = still_open[0]
+        watched = watch[next_var - 1] if next_var else every
+        ci, still_open = _recheck(matrix, open_ids, watched, ranks, next_var)
+        if ci is None and still_open and next_var == n:
+            ci = still_open[0]  # some clause never got a true disjunct
+        if ci is not None:
             clause_text = " | ".join(a.text(names) for a in matrix[ci])
             return GameOutcome(False, list(trace), clause_text)
+        if not still_open:
+            return None
         if quants[next_var] == "E":
             mv = ep(next_var, WeakOrder(tuple(ranks[:next_var])))
             ranks2 = list(ranks)
@@ -198,5 +226,5 @@ def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
                 return out
         return None
 
-    loss = rec(0, [None] * n, 0, list(range(len(matrix))))
+    loss = rec(0, [None] * n, 0, list(every))
     return loss if loss is not None else GameOutcome(True)

@@ -32,6 +32,7 @@ from ordhorn.orders import (
     enumerate_marked_orders,
     enumerate_weak_orders,
     eval_qf,
+    ordered_bell,
     relation_of,
 )
 from ordhorn.relations import TemporalRelation, catalogue, names
@@ -175,6 +176,21 @@ def test_preservation_checks_one_image_per_signature(monkeypatch):
         images.clear()
         assert is_preserved_by(nae4, op)
         assert 0 < len(images) <= bound, op
+
+
+def test_witness_scan_stops_at_first_violation(monkeypatch):
+    evaluated = []
+
+    def counting_eval_qf(f, w):
+        evaluated.append(w)
+        return eval_qf(f, w)
+
+    monkeypatch.setattr("ordhorn.classifier.eval_qf", counting_eval_qf)
+    sm = catalogue("SM")
+    result = is_preserved_by(sm, "pp")
+    assert not result and result.witness is not None
+    # evaluating every first operand up front reads all 541 + 75 order types
+    assert len(evaluated) < ordered_bell(5) + ordered_bell(4)
 
 
 def test_is_oh():

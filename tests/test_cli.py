@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordhorn.cli import main
+from ordhorn.cli import build_parser, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -327,6 +327,15 @@ def test_falsity_clause_through_pipeline(tmp_path, capsys):
 def test_resource_limit_exit(capsys):
     code, _, err = run(capsys, "brute", FIXTURES / "reject-cascade.qcsp", "--max-nodes", "2")
     assert code == 4
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    code, _, err = run(capsys, "brute", FIXTURES / "reject-cascade.qcsp", "--max-nodes", "2")
+    assert code == 4 and "exceeded 2 nodes" in err
+    # the next call is back on the default budget
+    code, out, _ = run(capsys, "brute", FIXTURES / "reject-cascade.qcsp")
+    assert (code, out.strip()) == (0, "false")
 
 
 def test_usage_error_exit():

@@ -1,6 +1,8 @@
 """The brute-force game oracle and the adversary harness."""
 
+import gc
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -118,6 +120,14 @@ def test_play_against_false_instance_always_loses(running_example):
     assert out.trace
 
 
+def test_empty_clause_loses_at_the_root():
+    # no variable's placement re-checks a clause that mentions none
+    inst = make_general("EA", [[]])
+    assert (brute_solve(inst).value, brute_solve(inst).nodes) == (False, 1)
+    out = play_against(inst, lambda var, order: Move("gap", 0))
+    assert (out.win, out.trace, out.violated) == (False, [], "")
+
+
 def test_play_against_propagates_callback_errors(running_example):
     class Boom(RuntimeError):
         pass
@@ -188,3 +198,123 @@ def test_prefix_must_be_dense_and_fit():
     for bad in ((0, 2), (1,), (1, 1), (0, 0, 0)):
         with pytest.raises(ValueError):
             brute_solve(inst, prefix=bad)
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# (value, nodes) of brute_solve, recorded before a node re-checked only the
+# clauses of the variable placed last: the node count moves if the memo key,
+# the move order or the counting changes.
+FIXTURE_PINS = {
+    "chain2.qcsp": (True, 38),
+    "forall-exists-gt.qcsp": (True, 5),
+    "no-maximum.qcsp": (False, 4),
+    "reject-cascade.qcsp": (False, 18),
+}
+RANDOM_PINS = [
+    ((), True, 20), ((), False, 2), ((0, 0, 1), True, 2), ((), False, 11), ((), False, 5),
+    ((0,), False, 28), ((), True, 11), ((), False, 5), ((0, 0), False, 11), ((), True, 9),
+    ((), False, 2), ((0,), False, 4), ((), True, 4), ((), True, 6), ((0, 1, 1), False, 1),
+    ((), False, 7), ((), False, 8), ((0, 1), True, 7), ((), False, 2), ((), True, 11),
+    ((0,), False, 1), ((), True, 22), ((), False, 6), ((0,), False, 14), ((), True, 44),
+    ((), False, 23), ((1, 0), True, 6), ((), False, 13), ((), False, 10), ((0,), True, 43),
+]
+_X6 = {"eq0": {}, "eq1": {}, "gap0": {}, "gap1": {}, "gap2": {}}
+_X6_WIDE = {"eq0": {}, "eq1": {}, "eq2": {}, "gap0": {}, "gap1": {}, "gap2": {}, "gap3": {}}
+STRATEGY_PINS = {
+    9: {"var": "x1", "move": "gap0", "next": {"var": "x2", "branches": {
+        "eq0": {"var": "x3", "move": "eq0", "next": {}},
+        "gap0": {"var": "x3", "move": "eq0", "next": {}},
+        "gap1": {"var": "x3", "move": "eq1", "next": {}}}}},
+    19: {"var": "x1", "branches": {"gap0": {"var": "x2", "branches": {
+        "eq0": {"var": "x3", "move": "gap0", "next": {}},
+        "gap0": {"var": "x3", "move": "gap0", "next": {}},
+        "gap1": {"var": "x3", "move": "eq0", "next": {}}}}}},
+    29: {"var": "x2", "move": "gap1", "next": {"var": "x3", "move": "eq1", "next": {
+        "var": "x4", "move": "eq0", "next": {"var": "x5", "branches": {
+            "eq0": {"var": "x6", "branches": _X6},
+            "eq1": {"var": "x6", "branches": _X6},
+            "gap0": {"var": "x6", "branches": _X6_WIDE},
+            "gap1": {"var": "x6", "branches": _X6_WIDE},
+            "gap2": {"var": "x6", "branches": _X6_WIDE}}}}}},
+}
+# play_against with "always open a new top level", on the first 12 instances
+LOSS_PINS = [
+    (True, None, None),
+    (False, [("x1", "gap0")], "x1 != x1 | x1 != x1 | x1 < x1"),
+    (True, None, None),
+    (False, [("x1", "gap0"), ("x2", "eq0"), ("x3", "eq0"), ("x4", "gap1"), ("x5", "eq0"),
+             ("x6", "eq1")], "x5 != x5 | x5 != x2 | x6 <= x5"),
+    (False, [("x1", "gap0"), ("x2", "gap1")], "x2 > x2"),
+    (False, [("x1", "gap0"), ("x2", "eq0"), ("x3", "gap1"), ("x4", "gap2"), ("x5", "gap3")],
+     "x5 < x2"),
+    (True, None, None),
+    (False, [("x1", "gap0"), ("x2", "gap1")], "x1 != x1 | x1 != x1 | x1 >= x2"),
+    (False, [("x1", "gap0"), ("x2", "gap1"), ("x3", "gap2"), ("x4", "eq0"), ("x5", "gap3"),
+             ("x6", "eq0")], "x4 != x6 | x4 != x1 | x1 < x4"),
+    (True, None, None),
+    (False, [("x1", "gap0")], "x1 < x1"),
+    (False, [("x1", "gap0"), ("x2", "eq0"), ("x3", "eq0"), ("x4", "eq0")], "x4 != x4 | x4 != x3"),
+]
+
+
+def _pinned_instances():
+    """30 seeded instances; every third starts from a placed prefix."""
+    rng = random.Random(1313)
+    out = []
+    for i in range(30):
+        inst = random_general_instance(rng, max_vars=8, max_clauses=6)
+        prefix = ()
+        if i % 3 == 2:
+            k = rng.randint(1, min(inst.n_vars, 3))
+            prefix = rng.choice(list(enumerate_weak_orders(k))).ranks
+        out.append((inst, prefix))
+    return out
+
+
+def test_oracle_output_is_pinned():
+    for name, pin in FIXTURE_PINS.items():
+        verdict = brute_solve(parse_instance((FIXTURES / name).read_text()))
+        assert (verdict.value, verdict.nodes) == pin, name
+    instances = _pinned_instances()
+    got = []
+    for inst, prefix in instances:
+        verdict = brute_solve(inst, prefix=prefix)
+        got.append((prefix, verdict.value, verdict.nodes))
+    assert got == RANDOM_PINS
+    for i, tree in STRATEGY_PINS.items():
+        inst, prefix = instances[i]
+        assert brute_solve(inst, prefix=prefix, emit_strategy=True).strategy == tree, i
+
+    def new_top_level(var, order):
+        return Move("gap", order.n_levels())
+
+    outcomes = [play_against(inst, new_top_level) for inst, _ in instances[:12]]
+    assert [(o.win, o.trace, o.violated) for o in outcomes] == LOSS_PINS
+
+
+def _live_memo_entries():
+    """Entries in the memos of every game search closure still alive."""
+    total = 0
+    for obj in gc.get_objects():
+        if getattr(obj, "__qualname__", None) == "brute_solve.<locals>.search":
+            cells = dict(zip(obj.__code__.co_freevars, obj.__closure__))
+            total += len(cells["memo"].cell_contents)
+    return total
+
+
+def test_memo_is_freed_on_every_exit():
+    # search refers to itself, so with the collector off its closure, memo
+    # included, outlives the call; what it held must not
+    inst = make_general("A" * 5 + "E", [[(5, ">", i)] for i in range(5)])
+    gc.collect()
+    gc.disable()
+    try:
+        verdict = brute_solve(inst)
+        assert verdict.nodes > 5000
+        assert _live_memo_entries() == 0
+        with pytest.raises(ResourceLimitError):
+            brute_solve(inst, max_nodes=verdict.nodes // 2)
+        assert _live_memo_entries() == 0
+    finally:
+        gc.enable()
