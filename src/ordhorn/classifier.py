@@ -26,7 +26,7 @@ from .orders import (
 )
 from .relations import TemporalRelation, catalogue
 
-MAX_SEMANTIC_ARITY = 5
+MAX_SEMANTIC_ARITY = 6
 
 VERDICT_P = "P"
 VERDICT_HARD = "coNP-hard-unless-GOH-definable"

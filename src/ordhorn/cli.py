@@ -267,7 +267,7 @@ def build_parser():
                    help="stored-fact budget (exit 4 past it; default %(default)s)")
 
     p = command("selftest", _cmd_selftest, "run reduced-size cross-validation suites")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--seed", type=decimal, default=0, help="random seed (default %(default)s)")
     p.add_argument("--rounds", type=non_negative_int, default=200,
                    help="random instances and conjunctions per suite (default %(default)s)")
     return parser

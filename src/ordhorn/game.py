@@ -5,10 +5,14 @@ level or a gap.  Homogeneity of (Q,<) makes this finite abstraction sound.
 Memoization projects out assigned variables that no longer occur in any
 unresolved clause.
 
-A node re-checks only the open clauses that mention the variable placed last
-(the root checks them all).  That is enough: a gap move shifts ranks but keeps
-every order relation among the placed variables, so a clause that the new
-variable does not occur in keeps the status it had one node up.
+A node evaluates only the atoms that the variable placed last decided, those
+whose later endpoint it is.  An open clause with such an atom true is
+satisfied; with none true it is falsified once that variable is its last, and
+stays open otherwise.  That is enough: a gap move shifts ranks but keeps every
+order relation among the placed variables, so an atom decided higher up keeps
+its truth value, and in an open clause every such atom is false.  The root
+(play from a ``prefix`` included) has no move above it, so it evaluates every
+atom among the placed variables and settles every clause.
 """
 
 from __future__ import annotations
@@ -66,36 +70,45 @@ class GameOutcome:
     violated: Optional[str] = None
 
 
-def _clause_status(clause, ranks, next_var):
-    """1 satisfied, -1 falsified, 0 open, given variables < next_var assigned."""
-    all_false = True
-    for atom in clause:
-        if atom.left < next_var and atom.right < next_var:
-            if HOLDS[atom.op](ranks[atom.left], ranks[atom.right]):
-                return 1
-        else:
-            all_false = False
-    return -1 if all_false else 0
+def _decided_at(matrix, n, start):
+    """(decided, clause_bits) for play from ``start`` placed variables.
+
+    ``decided[k]`` maps a clause index to the atoms of that clause, as
+    (left, right, HOLDS[op]), that placing variable k - 1 decides: those whose
+    later endpoint it is.  The root's ``decided[start]`` has every clause,
+    with its atoms among the placed variables.  ``clause_bits[ci]`` has bit v
+    set iff v occurs in clause ci."""
+    decided = [{} for _ in range(n + 1)]
+    decided[start] = {ci: [] for ci in range(len(matrix))}
+    clause_bits = []
+    for ci, clause in enumerate(matrix):
+        bits = 0
+        for a in clause:
+            k = max(a.left + 1, a.right + 1, start)
+            decided[k].setdefault(ci, []).append((a.left, a.right, HOLDS[a.op]))
+            bits |= 1 << a.left | 1 << a.right
+        clause_bits.append(bits)
+    return decided, clause_bits
 
 
-def _watch_lists(matrix, n):
-    """For each variable, the set of indices of the clauses it occurs in."""
-    occurs = [{v for a in c for v in (a.left, a.right)} for c in matrix]
-    return [{ci for ci, vs in enumerate(occurs) if v in vs} for v in range(n)]
-
-
-def _recheck(matrix, open_ids, watched, ranks, next_var):
-    """(first falsified clause or None, clauses still open), re-checking only
-    the open clauses in ``watched``; the open ones keep their order."""
+def _settle(open_ids, decided, clause_bits, next_var, ranks):
+    """(first falsified clause or None, clauses still open) once the first
+    ``next_var`` variables are placed, evaluating only the atoms ``decided``
+    that the last move decided; the open ones keep their order.  A clause none
+    of whose atoms holds is falsified iff no variable of it is still to play."""
     still_open = []
     for ci in open_ids:
-        if ci in watched:
-            s = _clause_status(matrix[ci], ranks, next_var)
-            if s < 0:
+        atoms = decided.get(ci)
+        if atoms is None:
+            still_open.append(ci)
+            continue
+        for left, right, holds in atoms:
+            if holds(ranks[left], ranks[right]):
+                break
+        else:
+            if not clause_bits[ci] >> next_var:
                 return ci, None
-            if s:
-                continue
-        still_open.append(ci)
+            still_open.append(ci)
     return None, still_open
 
 
@@ -119,10 +132,9 @@ def brute_solve(
         raise ValueError(f"prefix {tuple(prefix)} is not dense ranks for at most {n} variables")
     matrix = inst.general_matrix()
     quants = inst.quants
-    clause_vars = [sorted({v for a in c for v in (a.left, a.right)}) for c in matrix]
-    watch = _watch_lists(matrix, n)
-    every, start = range(len(matrix)), len(prefix)
-    memo = {}
+    start = len(prefix)
+    decided, clause_bits = _decided_at(matrix, n, start)
+    memo, live_vars = {}, {}
     nodes = 0
 
     def search(next_var, ranks, n_levels, open_ids):
@@ -130,20 +142,27 @@ def brute_solve(
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
-        watched = watch[next_var - 1] if next_var > start else every
-        falsified, still_open = _recheck(matrix, open_ids, watched, ranks, next_var)
+        falsified, still_open = _settle(open_ids, decided[next_var], clause_bits, next_var, ranks)
         if falsified is not None:
             return (False, None)
-        if not still_open:
+        if not still_open:  # always so once every variable is placed
             return (True, {} if emit_strategy else None)
-        if next_var == n:
-            return (False, None)  # some clause never got a true disjunct
 
         key = None
         if not emit_strategy:
-            live = sorted({v for ci in still_open for v in clause_vars[ci] if v < next_var})
-            dense = {r: i for i, r in enumerate(sorted({ranks[v] for v in live}))}
-            key = (next_var, tuple(still_open), tuple(dense[ranks[v]] for v in live))
+            bits = 0
+            for ci in still_open:
+                bits |= clause_bits[ci]
+            bits &= (1 << next_var) - 1
+            live = live_vars.get(bits)
+            if live is None:
+                live = live_vars[bits] = tuple(v for v in range(next_var) if bits >> v & 1)
+            placed = [ranks[v] for v in live]
+            levels = sorted(set(placed))
+            if levels and levels[-1] >= len(levels):  # some level has no live variable
+                dense = {r: i for i, r in enumerate(levels)}
+                placed = [dense[r] for r in placed]
+            key = (next_var, tuple(still_open), tuple(placed))
             if key in memo:
                 return (memo[key], None)
 
@@ -177,9 +196,10 @@ def brute_solve(
 
     ranks = list(prefix) + [None] * (n - start)
     try:
-        value, strat = search(start, ranks, n_levels, list(every))
+        value, strat = search(start, ranks, n_levels, range(len(matrix)))
     finally:
         memo.clear()  # search refers to itself, so only the collector frees it
+        live_vars.clear()
     return GameVerdict(value, nodes, strat if (emit_strategy and value) else None)
 
 
@@ -194,15 +214,11 @@ def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
     matrix = inst.general_matrix()
     quants = inst.quants
     names = inst.names
-    watch = _watch_lists(matrix, n)
-    every = range(len(matrix))
+    decided, clause_bits = _decided_at(matrix, n, 0)
     trace = []
 
     def rec(next_var, ranks, n_levels, open_ids):
-        watched = watch[next_var - 1] if next_var else every
-        ci, still_open = _recheck(matrix, open_ids, watched, ranks, next_var)
-        if ci is None and still_open and next_var == n:
-            ci = still_open[0]  # some clause never got a true disjunct
+        ci, still_open = _settle(open_ids, decided[next_var], clause_bits, next_var, ranks)
         if ci is not None:
             clause_text = " | ".join(a.text(names) for a in matrix[ci])
             return GameOutcome(False, list(trace), clause_text)
@@ -226,5 +242,5 @@ def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
                 return out
         return None
 
-    loss = rec(0, [None] * n, 0, list(every))
+    loss = rec(0, [None] * n, 0, range(len(matrix)))
     return loss if loss is not None else GameOutcome(True)

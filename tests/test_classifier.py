@@ -1,6 +1,7 @@
 """Preservation checks, syntax recognizers, formula surgery, and verdicts."""
 
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,23 @@ def test_mminus_preserved_by_dual_pp():
 
 def test_arity_five_is_within_the_semantic_bound():
     assert is_preserved_by(catalogue("NAE5"), "pp")
+
+
+def test_arity_six_classifies_within_a_time_bound():
+    # the hulls decide NAE6 without a scan; a relation that the pp hull
+    # rejects is scanned only up to its first violating pair (about 0.1 s
+    # and 0.35 s of CPU on a 2-core VM; arity 7 took 1-7 s and is refused)
+    start = time.process_time()
+    report = classify([catalogue("NAE6")])
+    assert report.verdict == VERDICT_P and report.witnesses == {}
+    r = rel(6, [(0, "<", 1), (2, "<", 3)], [(4, "!=", 5), (0, ">=", 5)])
+    report = classify([r])
+    assert not (report.oh_semantic or report.pp_preserved or report.dual_pp_preserved)
+    for op, (t1, t2) in (("pp", report.witnesses["pp[0]"]),
+                         ("dual_pp", report.witnesses["dual_pp[0]"])):
+        assert eval_qf(r.defn, t1) and eval_qf(r.defn, t2)
+        assert not eval_qf(r.defn, apply_op(op, t1, t2))
+    assert time.process_time() - start < 10
 
 
 def test_sm_violates_pp_with_validated_witness():

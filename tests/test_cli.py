@@ -192,12 +192,12 @@ def test_classify_ignores_repeated_disjunct(tmp_path, capsys):
 
 
 def test_classify_past_the_arity_bound_exits_4(tmp_path, capsys):
-    # unbounded, NAE6 under ll ran for minutes; arity 6 is refused at once
-    path = tmp_path / "nae6.rel"
-    path.write_text("rel v1\nname NAE6\narity 6\nC NAE6 x1 x2 x3 x4 x5 x6\n")
+    # a pp-violating arity-7 relation took 4-7 s; arity 7 is refused at once
+    path = tmp_path / "nae7.rel"
+    path.write_text("rel v1\nname NAE7\narity 7\nC NAE7 x1 x2 x3 x4 x5 x6 x7\n")
     code, _, err = run(capsys, "classify", path)
     assert code == 4
-    assert "arity 6 exceeds the semantic-check bound 5" in err
+    assert "arity 7 exceeds the semantic-check bound 6" in err
 
 
 def test_compile_writes_pure_mplus(tmp_path, capsys):
@@ -383,6 +383,8 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     [
         ["derive", "x.qcsp", "--cap", "1_0"],
         ["brute", "x.qcsp", "--max-nodes", "\uff13"],  # fullwidth 3
+        ["selftest", "--seed", "1_0"],
+        ["selftest", "--seed", "\uff13"],
     ],
 )
 def test_counts_take_plain_decimals_only(argv, capsys):
@@ -390,7 +392,8 @@ def test_counts_take_plain_decimals_only(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "invalid non_negative_int value" in capsys.readouterr().err
+    kind = "decimal" if "--seed" in argv else "non_negative_int"
+    assert f"invalid {kind} value" in capsys.readouterr().err
 
 
 def test_selftest_reduced(capsys):

@@ -1,7 +1,9 @@
 """The brute-force game oracle and the adversary harness."""
 
 import gc
+import hashlib
 import itertools
+import json
 import pathlib
 import random
 
@@ -12,6 +14,7 @@ from ordhorn.formula import Atom, normalize, parse_instance
 from ordhorn.game import Move, ResourceLimitError, brute_solve, play_against
 from ordhorn.generators import random_mplus_instance
 from ordhorn.orders import enumerate_weak_orders
+from ordhorn.reductions import Cnf3, reduce_3cnf_complement
 
 from conftest import make_general, make_instance, random_general_instance
 
@@ -318,3 +321,32 @@ def test_memo_is_freed_on_every_exit():
         assert _live_memo_entries() == 0
     finally:
         gc.enable()
+
+
+# (value, nodes) of brute_solve on complement-of-SAT gadgets of 2-variable
+# 3-CNFs, recorded before a node evaluated only the atoms its move decided.
+# The six unsatisfiable ones are orderings of the four 2-clauses, the searches
+# that set the oracle benchmark's tail; the last two are satisfiable.
+GADGET_PINS = [
+    (((1, 1, 2), (1, -2, -2), (2, -1, -1), (-1, -1, -2)), True, 16193),
+    (((1, 2, 2), (-2, 1, 1), (-1, -1, -2), (-1, 2, 2)), True, 16197),
+    (((2, 1, 1), (-1, -1, 2), (1, -2, -2), (-2, -1, -1)), True, 17162),
+    (((1, 1, 2), (-1, -2, -2), (-2, 1, 1), (-1, -1, 2)), True, 22769),
+    (((1, 2, 2), (-2, -1, -1), (-1, -1, 2), (1, -2, -2)), True, 22761),
+    (((-2, 1, 1), (-1, -1, -2), (1, 2, 2), (2, -1, -1)), True, 17170),
+    (((1, 1, 2), (-1, -2, -2)), False, 210),
+    (((-1, -2, -2), (2, 1, 1), (-1, -1, 2)), False, 1097),
+]
+# the first gadget's strategy tree: its node count and the SHA-256 of its
+# JSON with sorted keys (the tree itself is about 500 kB)
+GADGET_STRATEGY_PIN = (49483, "4bed0330b2990e857eaba924b2b62df79f35d704fed7b9a2e865a6679b1a2440")
+
+
+def test_gadget_searches_are_pinned():
+    for clauses, value, nodes in GADGET_PINS:
+        verdict = brute_solve(reduce_3cnf_complement(Cnf3(2, clauses)))
+        assert (verdict.value, verdict.nodes) == (value, nodes), clauses
+    inst = reduce_3cnf_complement(Cnf3(2, GADGET_PINS[0][0]))
+    verdict = brute_solve(inst, emit_strategy=True)
+    text = json.dumps(verdict.strategy, sort_keys=True)
+    assert (verdict.nodes, hashlib.sha256(text.encode()).hexdigest()) == GADGET_STRATEGY_PIN

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ordhorn.formula import OhClause, normalize, parse_instance, print_instance
+from ordhorn.formula import OhClause, QcspInstance, normalize, parse_instance, print_instance
 from ordhorn.game import brute_solve
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.solver import DialectError, compile_to_mplus, cut_set, solve, up_set
@@ -337,3 +337,96 @@ def test_each_probe_is_one_closure_call(monkeypatch):
         assert solve(inst).oracle_calls == len(calls)
     calls.clear()
     assert solve(parallel_chain(10)).oracle_calls == len(calls) == 2210
+
+
+# Metamorphic checks past the game oracle's reach: instances with 100+
+# variables, which only solve itself decides.
+
+# perfbench solve-sparse's clause forms on four distinct variables (x, y, y2, z)
+_SPARSE_FORMS = (
+    lambda x, y, y2, z: [(x, "!=", y), (x, ">=", z)],
+    lambda x, y, y2, z: [(x, "!=", y), (x, ">=", z)],
+    lambda x, y, y2, z: [(x, "!=", y), (x, ">", z)],
+    lambda x, y, y2, z: [(x, "!=", y), (x, "!=", y2), (x, ">=", z)],
+    lambda x, y, y2, z: [(x, "!=", y), (x, "!=", y2)],
+    lambda x, y, y2, z: [(x, "<=", z)],
+)
+
+
+def _sparse_sentence(rng, values):
+    """Variable-disjoint E E A E E components, one per entry of ``values``
+    with that game verdict, joined under one E/A/E prefix and compiled to M+.
+    A conjunction of variable-disjoint sentences is true iff every part is."""
+    k = len(values)
+    clauses = []
+    for c, value in enumerate(values):
+        while True:
+            comp = [form(*rng.sample(range(5), 4)) for form in _SPARSE_FORMS]
+            if brute_solve(make_general("EEAEE", comp)).value == value:
+                break
+        slot = (2 * c, 2 * c + 1, 2 * k + c, 3 * k + 2 * c, 3 * k + 2 * c + 1)
+        clauses += [[(slot[a], op, slot[b]) for a, op, b in clause] for clause in comp]
+    return compile_to_mplus(make_general("E" * 2 * k + "A" * k + "E" * 2 * k, clauses))
+
+
+def _blocks(quants):
+    """The quantifier blocks, as lists of consecutive prefix positions."""
+    out, start = [], 0
+    for i in range(1, len(quants) + 1):
+        if i == len(quants) or quants[i] != quants[start]:
+            out.append(list(range(start, i)))
+            start = i
+    return out
+
+
+def _block_shuffled(rng, inst):
+    """inst under one random permutation within each quantifier block, with
+    fresh names and the clause order shuffled; also the position map."""
+    order = [v for block in _blocks(inst.quants) for v in rng.sample(block, len(block))]
+    pos = {old: new for new, old in enumerate(order)}
+    matrix = [OhClause(pos[c.pivot], frozenset(pos[p] for p in c.partners), pos[c.target])
+              for c in inst.matrix]
+    rng.shuffle(matrix)
+    names = tuple(f"v{i}" for i in rng.sample(range(10 * inst.n_vars), inst.n_vars))
+    return QcspInstance(names, tuple(inst.quants[v] for v in order), tuple(matrix)), pos
+
+
+def _whole_block_keys(keys, quants):
+    """The clause keys whose partners meet each universal block in none or
+    all of its variables other than the pivot and the target.  A derived
+    partner set is the universals from some prefix position on, so one cut
+    inside a block names different variables once the block is shuffled."""
+    universal = [sum(1 << v for v in b) for b in _blocks(quants) if quants[b[0]] == "A"]
+    existential = ~sum(universal)
+    out = set()
+    for x, ps, z in keys:
+        m = sum(1 << p for p in ps)
+        whole = m & existential
+        for b in universal:
+            if m & b:
+                whole |= b
+        if whole & ~(1 << x | 1 << z) == m:
+            out.add((x, ps, z))
+    return out
+
+
+@pytest.mark.parametrize("family", ["chain", "false-chain", "sparse", "false-sparse"])
+def test_block_shuffles_keep_verdict_and_clauses(family):
+    rng = random.Random(f"block-shuffle/{family}")
+    expected = not family.startswith("false")
+    if family.endswith("chain"):
+        inst = parallel_chain(33)
+        if not expected:  # y1_0 >= c1 fails once y1_0 is played below c0
+            inst = QcspInstance(inst.names, inst.quants, inst.matrix + (OhClause(1, frozenset(), 3),))
+    else:
+        inst = _sparse_sentence(rng, [True] * 10 + [expected])
+    assert inst.n_vars >= 100
+    shuffled, pos = _block_shuffled(rng, inst)
+    verdict, again = solve(inst), solve(shuffled)
+    assert verdict.value == again.value == expected
+    if expected:  # a false run stops at its first rejection, which order decides
+        mapped = {
+            (pos[x], tuple(sorted(pos[p] for p in ps)), pos[z])
+            for x, ps, z in _whole_block_keys(verdict.clause_keys, inst.quants)
+        }
+        assert mapped == _whole_block_keys(again.clause_keys, shuffled.quants)
