@@ -430,3 +430,6 @@ def test_block_shuffles_keep_verdict_and_clauses(family):
             for x, ps, z in _whole_block_keys(verdict.clause_keys, inst.quants)
         }
         assert mapped == _whole_block_keys(again.clause_keys, shuffled.quants)
+        inputs = {(pos[x], tuple(sorted(pos[p] for p in ps)), pos[z])
+                  for x, ps, z in (c.key() for c in inst.matrix)}
+        assert mapped - inputs  # some derived whole-block key went through the map
