@@ -433,3 +433,29 @@ def test_block_shuffles_keep_verdict_and_clauses(family):
         inputs = {(pos[x], tuple(sorted(pos[p] for p in ps)), pos[z])
                   for x, ps, z in (c.key() for c in inst.matrix)}
         assert mapped - inputs  # some derived whole-block key went through the map
+
+
+def test_solve_output_pinned():
+    """One SHA-256 over every observable field of ``solve`` (verdict, sorted
+    clause keys, oracle calls, passes, the rejecting pair and clause, and
+    every log event) on the exhaustive 4-variable two-clause family, 300
+    seeded random instances and parallel chains 1..12.  A change to the
+    solver or its oracle that alters any of them breaks the pin."""
+    import hashlib
+
+    from ordhorn.generators import exhaustive_mplus_instances
+
+    rng = random.Random(2024)
+    instances = list(exhaustive_mplus_instances(4, 2))
+    instances += [random_mplus_instance(rng, max_vars=9, max_clauses=10) for _ in range(300)]
+    instances += [parallel_chain(k) for k in range(1, 13)]
+    h = hashlib.sha256()
+    for inst in instances:
+        v = solve(inst)
+        rejecting = v.rejecting_clause.key() if v.rejecting_clause else None
+        h.update(repr((v.value, sorted(v.clause_keys), v.oracle_calls, v.passes,
+                       v.rejecting_pair, rejecting)).encode())
+        for e in v.log:
+            h.update(repr((e.pass_no, e.x, e.z, e.u, e.partners, e.duplicate)).encode())
+    assert len(instances) == 4702 + 300 + 12
+    assert h.hexdigest() == "10da878de017b4e9b922245359c015d76f0a9efd9f85f94cc1eccfd0d76431d7"
