@@ -377,9 +377,9 @@ def _to_oh_clause(lits, names) -> Optional[OhClause]:
                 ne.append(frozenset((a, b)))
         else:
             ge.append((a, b))
-    # a reflexive order disjunct makes the clause trivially true, except when
-    # it is the whole clause (kept as the unit x >= x)
-    if any(g[0] == g[1] for g in ge):
+    # a reflexive order disjunct, or a pair a >= b | b >= a, is true in every
+    # linear order and so is the clause, except a lone x >= x (kept as a unit)
+    if any(g[0] == g[1] or g[::-1] in ge for g in ge):
         if not ne and len(ge) == 1:
             a = ge[0][0]
             return OhClause(a, frozenset(), a)

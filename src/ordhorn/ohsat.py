@@ -1,14 +1,19 @@
 """Satisfiability of conjunctions of pivoted clauses and order atoms over Q.
 
-The decision procedure is a merge/fire closure: equality atoms merge
-variables into classes, a clause *fires* once all its disequality partners
-sit in the pivot's class (contributing its order disjunct, or falsity), and
-strongly connected components of the resulting <=-graph collapse into single
-classes.  Classes are one representative list, kept exact by relabelling the
-smaller class on each merge.  At the fixpoint every component is a single
-class, so the last component pass is a topological order of the class graph;
-numbering the classes along it gives distinct classes distinct values, which
-satisfies every clause that never fired.
+The decision procedure is one fixpoint over per-variable *order masks*:
+``up[v]`` holds the variables forced at or above v and ``down[v]`` those
+at or below it.  Every atom is an edge a <= b (an equality is two, a strict
+atom is its weak edge, checked at the end); adding one ORs ``up[b]`` into
+``up`` of everything in ``down[a]`` and ``down[a]`` into ``down`` of
+everything in ``up[b]``, an incremental transitive closure (Italiano, TCS
+1986).  The masks define the classes, ``up[v] & down[v]``: an edge whose
+``b`` was already at or below ``a`` closes a cycle and makes one class of
+it.  A clause *fires* once all its disequality partners sit in the pivot's
+class, contributing its order disjunct as a new edge (or falsity).  At the
+fixpoint a class strictly below another has fewer variables at or below
+it, so numbering the classes by that count gives distinct classes distinct
+values in a topological order, which satisfies every clause that never
+fired.  A SAT model is any such witnessing order.
 
 There is one closure engine, :func:`closure`, shared by :func:`oh_sat` and
 the solver.  It indexes clauses by pivot and re-examines a clause only when
@@ -21,9 +26,9 @@ The solver asks many probes of one clause set, each "x equal to a set U
 and x < z", and answers them from a *memo* of the set's base fixpoint.
 The solver owns the memo (a dict) and passes it with each probe.  An
 empty memo is filled by the probe's own :func:`closure` call, which first
-runs the plain closure with no equalities and no strict atoms and records
-each variable's base class mask and its ``up``/``down`` reachability masks
-over the condensed class graph.  A probe then grows the one class
+runs the mask fixpoint with no equalities and no strict atoms and stores
+its masks: each variable's ``up``/``down`` and its base class
+``cls = up & down``.  A probe then grows the one class
 ``C = class(x) | classes(U)``: it fires the clauses pivoted in ``C`` whose
 partners lie in ``C`` (their targets form ``T``) and absorbs
 ``up(C) & down(C | T)`` until nothing changes; no other class can change,
@@ -88,67 +93,55 @@ def _bits(mask):
         mask ^= bit
 
 
-def _sccs(nodes, succ):
-    """Iterative Tarjan from the roots ``nodes`` over successor lists indexed
-    by node; returns the SCCs (each a list of nodes), each SCC after every
-    SCC it reaches."""
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
-    on_stack = [False] * len(succ)
-    stack, sccs = [], []
-    count = 0
-    for root in nodes:
-        if index[root] >= 0:
+def _fixpoint(n, pivots, pmasks, targets, edges, by_pivot, events):
+    """Close the edges (a, b), each a <= b, under transitivity and clause
+    firing.  Returns the order masks (up, down) and the fired clauses'
+    edges, or None once a clause without an order disjunct fires."""
+    up = [1 << v for v in range(n)]
+    down = up[:]
+    fired = set()
+    work = list(edges)
+    for a, b in work:  # fired edges are appended to work as it is read
+        if up[a] >> b & 1:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    work.append((w, iter(succ[w])))
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    w = None
-                    while w != v:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                    sccs.append(comp)
-    return sccs
+        up_b, down_a = up[b], down[a]
+        for v in _bits(down_a):
+            up[v] |= up_b
+        for w in _bits(up_b):
+            down[w] |= down_a
+        if not up_b & down_a:
+            continue
+        # b <= a held already: the edge closes a cycle into one class
+        events.append(("merge", a, b))
+        cls = up[a] & down[a]
+        for p in _bits(cls):
+            for i in by_pivot.get(p, ()):
+                if i not in fired and not pmasks[i] & ~cls:
+                    fired.add(i)
+                    events.append(("fire", i))
+                    if targets[i] < 0:
+                        events.append(("empty-clause", i))
+                        return None
+                    work.append((targets[i], p))
+    return up, down, work[len(edges):]
 
 
 def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None):
-    """Merge/fire closure over clauses i = (pivots[i], pmasks[i], targets[i])
+    """Order-mask closure over clauses i = (pivots[i], pmasks[i], targets[i])
     and the atoms x = y (eqs), x <= y (les), x < y (lts) and x != y (nes).
 
     A target of -1 means the clause has no order disjunct.  ``by_pivot``
-    maps each pivot variable to its clause ids, and a round re-examines only
-    the clauses whose pivot class grew, so a slot left out of ``by_pivot``
+    maps each pivot variable to its clause ids, and a clause is checked
+    only when its pivot's class grows, so a slot left out of ``by_pivot``
     never fires.  Every indexed clause must have a partner besides its pivot
     (partner-free clauses are passed as ``les`` edges (target, pivot)).
-    Returns (rep, sccs, None, fired_edges) on success, with rep[v] the class
-    representative of variable v and sccs the last round's components of
-    the class graph: one [r] per class, each after every class it must not
-    exceed, so the highest class comes first.  On refutation it returns
-    (None, None, certificate, None), the certificate being the merge/fire
-    event sequence.
+    Returns (rep, sccs, None, fired_edges) on success, with rep[v] the
+    lowest variable of v's class and sccs one [r] per class, each after
+    every class it must not exceed, so the highest class comes first.  On
+    refutation it returns (None, None, certificate, None), the certificate
+    being the event sequence: ("merge", a, b) for each edge a <= b that
+    closed a cycle, ("fire", i) for each fired clause, then one of
+    ("empty-clause", i), ("strict-cycle", a, b) or ("forced-equal", a, b).
 
     With a ``memo`` (see the module docstring) the call is a probe: ``lts``
     is the one atom x < z, every pair of ``eqs`` is (x, v), and ``nes`` is
@@ -162,100 +155,32 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None)
     """
     if memo is not None:
         if not memo:
-            base = closure(n, pivots, pmasks, targets, (), les, (), (), by_pivot)
-            if base[0] is None:
-                return base  # every probe of this clause set is refuted
-            _record_base(memo, n, les, *base)
+            events = []
+            masks = _fixpoint(n, pivots, pmasks, targets, les, by_pivot, events)
+            if masks is None:
+                return None, None, events, None  # every probe of this clause set is refuted
+            up, down, _ = masks
+            cls = [u & d for u, d in zip(up, down)]
+            members = {c: list(_bits(c)) for c in set(cls)}
+            memo.update(cls=cls, up=up, down=down, members=[members[c] for c in cls],
+                        rep=[members[c][0] for c in cls])
         return _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot)
-    rep = list(range(n))
-    members = [1 << i for i in range(n)]
     events = []
-    changed_mask = 0
-
-    def union(a, b):
-        nonlocal changed_mask
-        ra, rb = rep[a], rep[b]
-        if ra == rb:
-            return
-        if members[ra].bit_count() < members[rb].bit_count():
-            ra, rb = rb, ra
-        for v in _bits(members[rb]):
-            rep[v] = ra
-        members[ra] |= members[rb]
-        changed_mask |= members[ra]
-        events.append(("merge", rb, ra))
-
-    for a, b in eqs:
-        union(a, b)
-
-    fired = set()
-    fired_edges = []
-    # each non-final round merges at least two classes
-    for _ in range(n + 2):
-        scan = [i for p in _bits(changed_mask) for i in by_pivot.get(p, ())]
-        changed_mask = 0
-        for i in scan:
-            if i not in fired and pmasks[i] & ~members[rep[pivots[i]]] == 0:
-                fired.add(i)
-                events.append(("fire", i))
-                if targets[i] < 0:
-                    events.append(("empty-clause", i))
-                    return None, None, events, None
-                fired_edges.append((targets[i], pivots[i]))
-        succ = [[] for _ in range(n)]
-        for edges in (les, lts, fired_edges):
-            for a, b in edges:
-                succ[rep[a]].append(rep[b])
-        sccs = _sccs([v for v in range(n) if rep[v] == v], succ)
-        if all(len(comp) == 1 for comp in sccs):
-            break
-        for comp in sccs:
-            for other in comp[1:]:
-                union(comp[0], other)
-    else:
-        raise RuntimeError("closure exceeded its merge-round bound")
-
+    edges = [e for a, b in eqs for e in ((a, b), (b, a))]
+    masks = _fixpoint(n, pivots, pmasks, targets, [*edges, *les, *lts], by_pivot, events)
+    if masks is None:
+        return None, None, events, None
+    up, down, fired_edges = masks
+    cls = [u & d for u, d in zip(up, down)]
     for kind, pairs in (("strict-cycle", lts), ("forced-equal", nes)):
         for a, b in pairs:
-            if rep[a] == rep[b]:
+            if cls[a] >> b & 1:
                 events.append((kind, a, b))
                 return None, None, events, None
+    rep = [(c & -c).bit_length() - 1 for c in cls]
+    # a class strictly below another has fewer variables at or below it
+    sccs = [[r] for r in sorted(set(rep), key=lambda r: (-down[r].bit_count(), r))]
     return rep, sccs, None, fired_edges
-
-
-def _record_base(memo, n, les, rep, sccs, _, fired_edges):
-    """Fill ``memo`` from a base fixpoint: per variable, its class as a
-    mask (``cls``) and a list (``members``), and the masks of the classes
-    at or above it (``up``) and at or below it (``down``)."""
-    cls = [0] * n
-    members = [[] for _ in range(n)]
-    for v in range(n):
-        cls[rep[v]] |= 1 << v
-        members[rep[v]].append(v)
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
-    for edges in (les, fired_edges):
-        for a, b in edges:
-            succ[rep[a]].append(rep[b])
-            pred[rep[b]].append(rep[a])
-    up = [0] * n
-    down = [0] * n
-    # sccs lists each class after every class above it
-    for (r,) in sccs:
-        m = cls[r]
-        for s in succ[r]:
-            m |= up[s]
-        up[r] = m
-    for (r,) in reversed(sccs):
-        m = cls[r]
-        for p in pred[r]:
-            m |= down[p]
-        down[r] = m
-    memo["rep"] = rep
-    memo["cls"] = [cls[r] for r in rep]
-    memo["members"] = [members[r] for r in rep]
-    memo["up"] = [up[r] for r in rep]
-    memo["down"] = [down[r] for r in rep]
 
 
 def _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot):

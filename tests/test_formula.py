@@ -143,6 +143,18 @@ def test_normalize_two_order_disjuncts_rejected():
         normalize(inst)
 
 
+@pytest.mark.parametrize("clause", ["x = y | x < y", "x < y | x >= y", "x <= y | y <= x"])
+@pytest.mark.parametrize("prefix", ["EEE", "EAE", "AEA", "EAA", "AAE"])
+def test_normalize_drops_tautological_order_pair(clause, prefix):
+    """x >= y | y >= x holds in every linear order, so a clause that carries
+    both is dropped, not rejected, and solve agrees with the game oracle."""
+    from ordhorn.solver import compile_to_mplus, solve
+
+    lines = [f"{q} {v}" for q, v in zip(prefix, "xyz")]
+    inst = parse_instance("qcsp v1\n" + "\n".join(lines) + f"\nC {clause}\nC x != z | z >= y\n")
+    assert solve(compile_to_mplus(normalize(inst))).value == brute_solve(inst).value
+
+
 def test_normalize_drops_reflexive_disequality():
     inst = make_general("EE", [[(0, "!=", 0), (0, ">=", 1)]])
     assert normalize(inst).matrix == (OhClause(0, frozenset(), 1),)

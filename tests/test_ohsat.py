@@ -155,23 +155,24 @@ def test_model_uses_distinct_levels_per_class():
 
 
 def test_sccs_match_mutual_reachability():
-    """_sccs on seeded random graphs with duplicate edges, self-loops and a
-    subset of the nodes as roots: the components are the classes of mutual
-    reachability among the nodes reached, each listed after every component
-    it reaches."""
-    from ordhorn.ohsat import _sccs
+    """closure on seeded random graphs with duplicate edges and self-loops,
+    given as ``les`` edges with no clauses: the classes are mutual
+    reachability, and sccs lists each class after every class above it."""
+    from ordhorn.ohsat import closure
 
     rng = random.Random(1972)
     for _ in range(2000):
         n = rng.randint(1, 12)
-        succ = [[] for _ in range(n)]
+        edges = []
         for _ in range(rng.randint(0, 3 * n)):
             a, b = rng.randrange(n), rng.randrange(n)
-            succ[a].extend([b] * rng.choice((1, 1, 2)))
+            edges.extend([(a, b)] * rng.choice((1, 1, 2)))
         for _ in range(rng.randint(0, 2)):
             v = rng.randrange(n)
-            succ[v].append(v)
-        roots = rng.sample(range(n), rng.randint(1, n))
+            edges.append((v, v))
+        succ = [[] for _ in range(n)]
+        for a, b in edges:
+            succ[a].append(b)
         reach = []
         for v in range(n):
             seen, todo = {v}, [v]
@@ -181,16 +182,14 @@ def test_sccs_match_mutual_reachability():
                         seen.add(w)
                         todo.append(w)
             reach.append(seen)
-        reached = set().union(*(reach[r] for r in roots))
-        sccs = _sccs(roots, succ)
-        listed = [v for comp in sccs for v in comp]
-        assert sorted(listed) == sorted(reached)
-        comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-        for v in reached:
-            for w in reached:
-                assert (comp_of[v] == comp_of[w]) == (w in reach[v] and v in reach[w])
+        rep, sccs, _, _ = closure(n, [], [], [], [], edges, [], [], {})
+        assert sorted(r for (r,) in sccs) == sorted(set(rep))
+        comp_of = {r: i for i, (r,) in enumerate(sccs)}
+        for v in range(n):
+            for w in range(n):
+                assert (rep[v] == rep[w]) == (w in reach[v] and v in reach[w])
                 if w in reach[v]:
-                    assert comp_of[w] <= comp_of[v]
+                    assert comp_of[rep[w]] <= comp_of[rep[v]]
 
 
 def _random_closure_input(rng, n):
@@ -288,3 +287,14 @@ def test_memo_probe_matches_plain_closure():
             else:
                 assert _partition(got[0]) == _partition(plain[0]), args
     assert unsat > 100
+
+
+def test_memo_fill_fires_base_clauses():
+    """A clause that fires in the base fixpoint is part of the memo: the
+    clause 2 != 3 | 2 >= 1 fires once the units make 2 and 3 one class,
+    and with 2 <= 0 it puts 1 below 0, so the probe 0 < 1 is refuted."""
+    from ordhorn.ohsat import closure
+
+    args = (4, [2], [1 << 3], [1], [], [(2, 3), (3, 2), (2, 0)], [(0, 1)], [], {2: [0]})
+    assert closure(*args)[0] is None
+    assert closure(*args, memo={})[0] is None

@@ -435,6 +435,23 @@ def test_block_shuffles_keep_verdict_and_clauses(family):
         assert mapped - inputs  # some derived whole-block key went through the map
 
 
+def test_derived_clauses_as_inputs_keep_verdict_and_clauses():
+    """Adding derived clauses to the input leaves the fixpoint alone: a true
+    100-variable chain re-solved with a seeded sample of its derived unit
+    and single-partner clauses in the matrix keeps its verdict and its
+    final clause set."""
+    inst = parallel_chain(33)
+    assert inst.n_vars >= 100
+    verdict = solve(inst)
+    rng = random.Random("derived-as-input")
+    units = [c for c in verdict.derived if not c.partners]
+    singles = [c for c in verdict.derived if len(c.partners) == 1]
+    extra = rng.sample(units, 60) + rng.sample(singles, 60)
+    again = solve(QcspInstance(inst.names, inst.quants, inst.matrix + tuple(extra)))
+    assert verdict.value is again.value is True
+    assert again.clause_keys == verdict.clause_keys
+
+
 def test_solve_output_pinned():
     """One SHA-256 over every observable field of ``solve`` (verdict, sorted
     clause keys, oracle calls, passes, the rejecting pair and clause, and
