@@ -70,7 +70,7 @@ def _load_instance(args) -> QcspInstance:
 def _cmd_solve(args):
     inst = _load_instance(args)
     compiled = compile_to_mplus(normalize(inst))
-    verdict = solve(compiled)
+    verdict = solve(compiled, max_probes=args.max_probes)
     if args.json:
         print(json.dumps(verdict.to_json_dict(), indent=2))
     else:
@@ -161,7 +161,9 @@ def _cmd_verify_strategy(args):
     if facts.status == "bottom":
         print("bottom (instance is false; no strategy to verify)")
         return EXIT_OK
-    outcome = play_against(compiled, lambda var, order: ep_move(compiled, facts, order, var))
+    outcome = play_against(
+        compiled, lambda var, order: ep_move(compiled, facts, order, var), max_nodes=args.max_nodes
+    )
     if outcome.win:
         print("win")
     else:
@@ -234,6 +236,8 @@ def build_parser():
     p = command("solve", _cmd_solve, "decide an instance with the clause-deriving solver",
                 "json", "reverse-order")
     p.add_argument("file")
+    p.add_argument("--max-probes", type=non_negative_int, default=100_000_000,
+                   help="oracle probe budget (exit 4 past it; default %(default)s)")
 
     p = command("brute", _cmd_brute, "decide an instance by game-tree search",
                 "json", "quiet", "reverse-order", "emit-strategy")
@@ -265,6 +269,8 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--cap", type=non_negative_int, default=10**6,
                    help="stored-fact budget (exit 4 past it; default %(default)s)")
+    p.add_argument("--max-nodes", type=non_negative_int, default=100_000_000,
+                   help="replay node budget (exit 4 past it; default %(default)s)")
 
     p = command("selftest", _cmd_selftest, "run reduced-size cross-validation suites")
     p.add_argument("--seed", type=decimal, default=0, help="random seed (default %(default)s)")

@@ -203,12 +203,13 @@ def brute_solve(
     return GameVerdict(value, nodes, strat if (emit_strategy and value) else None)
 
 
-def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
+def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000) -> GameOutcome:
     """Run an existential-player callback against every universal play.
 
     ``ep(var_index, order_over_prefix)`` must return a Move.  The exploration
     is exhaustive on universal branches; the first loss found is reported
-    with its move trace and the violated clause.
+    with its move trace and the violated clause.  Past ``max_nodes`` visited
+    positions it raises :class:`ResourceLimitError`.
     """
     n = inst.n_vars
     matrix = inst.general_matrix()
@@ -216,8 +217,13 @@ def play_against(inst: QcspInstance, ep: Callable) -> GameOutcome:
     names = inst.names
     decided, clause_bits = _decided_at(matrix, n, 0)
     trace = []
+    nodes = 0
 
     def rec(next_var, ranks, n_levels, open_ids):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceLimitError(f"strategy replay exceeded {max_nodes} nodes")
         ci, still_open = _settle(open_ids, decided[next_var], clause_bits, next_var, ranks)
         if ci is not None:
             clause_text = " | ".join(a.text(names) for a in matrix[ci])

@@ -27,9 +27,16 @@ and x < z", and answers them from a *memo* of the set's base fixpoint.
 The solver owns the memo (a dict) and passes it with each probe.  An
 empty memo is filled by the probe's own :func:`closure` call, which first
 runs the mask fixpoint with no equalities and no strict atoms and stores
-its masks: each variable's ``up``/``down`` and its base class
-``cls = up & down``.  A probe then grows the one class
-``C = class(x) | classes(U)``: it fires the clauses pivoted in ``C`` whose
+its masks: each variable's ``up``/``down``, its base class
+``cls = up & down``, and ``pivots``, the mask of the variables with
+indexed clauses.  U is a suffix ``order[j:]`` of one variable order (the
+solver's universals in prefix order) less x and z, so the first probe
+after a fill builds a sparse table of ORs (Bender and Farach-Colton,
+LATIN 2000, with OR in place of min) of the packed masks
+``cls | up << n | down << 2n`` over ``order``; a probe's start
+``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, is then at
+most two range queries, split at z when z lies in the range.  A probe
+fires the clauses pivoted in ``C`` (the bits of ``C & pivots``) whose
 partners lie in ``C`` (their targets form ``T``) and absorbs
 ``up(C) & down(C | T)`` until nothing changes; no other class can change,
 because every fired edge points into ``C``.  The probe is unsatisfiable
@@ -38,7 +45,7 @@ base fixpoint may move: when a unit clause is added (a new edge, or a
 retired slot) and when a new or shrunk partner set lies inside its
 pivot's base class (a clause that fires in the base).  A clause added
 outside those cases is read live from ``pmasks``/``targets``/``by_pivot``
-by later probes.
+by later probes, and the owner ORs its pivot into ``memo["pivots"]``.
 """
 
 from __future__ import annotations
@@ -144,14 +151,14 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None)
     ("empty-clause", i), ("strict-cycle", a, b) or ("forced-equal", a, b).
 
     With a ``memo`` (see the module docstring) the call is a probe: ``lts``
-    is the one atom x < z, every pair of ``eqs`` is (x, v), and ``nes`` is
-    empty.  An empty memo is first filled from this clause set.  A probe
-    returns (rep, None, None, fired_edges) on success: rep maps x's grown
-    class to x and every other variable to its base representative, sccs
-    is left out, and fired_edges are the edges of the clauses that fire in
-    x's grown class;
-    on refutation the certificate lists those clauses' ("fire", i) events,
-    then an "empty-clause" or "strict-cycle" event.
+    is the one atom x < z, ``nes`` is empty, and ``eqs`` is a pair
+    (order, j) equating x with every variable of ``order[j:]`` except x
+    and z.  Every probe of one memo passes the same ``order`` list.  An
+    empty memo is first filled from this clause set.  A probe returns
+    (c_mask, None, None, fired) on success: the bit mask of x's grown
+    class and the ids of the clauses that fire in it; on refutation the
+    certificate lists those clauses' ("fire", i) events, then an
+    "empty-clause" or "strict-cycle" event.
     """
     if memo is not None:
         if not memo:
@@ -160,11 +167,9 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None)
             if masks is None:
                 return None, None, events, None  # every probe of this clause set is refuted
             up, down, _ = masks
-            cls = [u & d for u, d in zip(up, down)]
-            members = {c: list(_bits(c)) for c in set(cls)}
-            memo.update(cls=cls, up=up, down=down, members=[members[c] for c in cls],
-                        rep=[members[c][0] for c in cls])
-        return _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot)
+            memo.update(cls=[u & d for u, d in zip(up, down)], up=up, down=down,
+                        pivots=sum(1 << p for p, ids in by_pivot.items() if ids))
+        return _probe(memo, pmasks, targets, eqs, lts, nes, by_pivot)
     events = []
     edges = [e for a, b in eqs for e in ((a, b), (b, a))]
     masks = _fixpoint(n, pivots, pmasks, targets, [*edges, *les, *lts], by_pivot, events)
@@ -183,50 +188,73 @@ def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None)
     return rep, sccs, None, fired_edges
 
 
-def _probe(memo, pivots, pmasks, targets, eqs, lts, nes, by_pivot):
-    """Answer x = U, x < z from the base fixpoint in ``memo``."""
+def _range_table(order, cls, up, down):
+    """Sparse table of ORs over ``order``: entry i of row k packs
+    ``cls | up << n | down << 2n`` ORed over ``order[i : i + 2**k]``."""
+    n = len(cls)
+    table = [[cls[v] | up[v] << n | down[v] << 2 * n for v in order]]
+    width = 1
+    while 2 * width <= len(order):
+        table.append([a | b for a, b in zip(table[-1], table[-1][width:])])
+        width *= 2
+    return table
+
+
+def _range_or(table, lo, hi):
+    """The packed OR over ``order[lo:hi]``, from two overlapping entries."""
+    if lo >= hi:
+        return 0
+    k = (hi - lo).bit_length() - 1
+    row = table[k]
+    return row[lo] | row[hi - (1 << k)]
+
+
+def _probe(memo, pmasks, targets, eqs, lts, nes, by_pivot):
+    """Answer x = order[j:] (less x and z), x < z from the base fixpoint
+    in ``memo``."""
     if len(lts) != 1 or nes:
         raise ValueError("a memo probe takes one strict atom and no disequalities")
     ((x, z),) = lts
-    cls, up, down, members = memo["cls"], memo["up"], memo["down"], memo["members"]
-    rep = memo["rep"][:]
-    # the masks of C (represented by x), up(C) and down(C | T)
-    c_mask = upc = downc = 0
-    pending = []  # unfired clauses pivoted in C
+    order, j = eqs
+    cls, up, down, piv = memo["cls"], memo["up"], memo["down"], memo["pivots"]
+    if memo.get("order") is not order:  # the first probe since the fill
+        memo.update(order=order, table=_range_table(order, cls, up, down),
+                    at={v: i for i, v in enumerate(order)})
+    table = memo["table"]
+    iz = memo["at"].get(z, -1)
+    if iz >= j:  # z splits the range
+        packed = _range_or(table, j, iz) | _range_or(table, iz + 1, len(order))
+    else:
+        packed = _range_or(table, j, len(order))
+    n = len(cls)
+    full = (1 << n) - 1
+    # the masks of C (x's grown class), up(C) and down(C | T)
+    c_mask = cls[x] | packed & full
+    upc = up[x] | packed >> n & full
+    downc = down[x] | packed >> 2 * n
+    pending = [i for w in _bits(c_mask & piv) for i in by_pivot[w]]  # unfired, pivoted in C
     fired = []
-    grow = [(x, x), *eqs]
     while True:
-        for a, v in grow:
-            if a != x:
-                raise ValueError("memo probe equalities must all start at x")
-            if c_mask >> v & 1:
-                continue
-            c_mask |= cls[v]
-            upc |= up[v]
-            downc |= down[v]
-            for w in members[v]:
-                rep[w] = x
-                ids = by_pivot.get(w)
-                if ids:
-                    pending += ids
         outside = ~c_mask
         firing = [i for i in pending if not pmasks[i] & outside]
         fired += firing
         for i in firing:
             t = targets[i]
             if t < 0:
-                events = [("fire", j) for j in fired]
-                return None, None, events + [("empty-clause", i)], None
+                return None, None, [("fire", f) for f in fired] + [("empty-clause", i)], None
             downc |= down[t]
         if downc >> z & 1:
-            events = [("fire", i) for i in fired]
-            return None, None, events + [("strict-cycle", x, z)], None
+            return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
         # the classes above C and below C | T join it
         new = upc & downc & outside
         if not new:
-            return rep, None, None, [(targets[i], pivots[i]) for i in fired]
+            return c_mask, None, None, fired
         pending = [i for i in pending if pmasks[i] & outside]
-        grow = [(x, v) for v in _bits(new)]
+        c_mask |= new
+        for v in _bits(new):
+            upc |= up[v]
+            downc |= down[v]
+        pending += [i for w in _bits(new & piv) for i in by_pivot[w]]
 
 
 def oh_sat(conj: OhConjunction):

@@ -15,9 +15,12 @@ prefixes are not re-probed across passes).
 
 Each probe is one :func:`~ordhorn.ohsat.closure` call with the solver's
 memo of the clause set's base fixpoint, filled by the first probe after
-the memo is cleared.  ``add_clause`` clears it when a unit clause is added
-and when a new or shrunk partner set lies inside its pivot's base class;
-any other clause cannot fire in the base fixpoint and is read live.
+the memo is cleared.  A probe passes its upward set, a suffix of the
+universals in prefix order, as (universals, start index).  ``add_clause``
+clears the memo when a unit clause is added and when a new or shrunk
+partner set lies inside its pivot's base class; any other clause cannot
+fire in the base fixpoint and is read live, its pivot ORed into the
+memo's ``pivots`` mask.
 
 The derivation log is the one record of derived clauses; events hold
 (pivot, partner mask, target) and build their ``OhClause`` on read.  Each
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .formula import OhClause, QcspInstance, normalize
+from .formula import OhClause, QcspInstance, ResourceLimitError, normalize
 from .ohsat import _bits, closure
 
 
@@ -132,15 +135,18 @@ def _check_dialect(matrix):
             raise DialectError("matrix clause lacks an order disjunct; compile it first")
 
 
-def solve(inst: QcspInstance) -> Verdict:
-    """Decide a pure-M+ instance (triples and units) by clause derivation."""
+def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
+    """Decide a pure-M+ instance (triples and units) by clause derivation;
+    :class:`ResourceLimitError` past ``max_probes`` oracle probes."""
     _check_dialect(inst.matrix)
     n = inst.n_vars
     quants = inst.quants
     ups = _upset_masks(quants)
     # distinct upward sets with the first prefix position attaining each
     G = [(u, ups[u]) for u in range(n) if u == 0 or ups[u] != ups[u - 1]]
-    g_vars = [list(_bits(mask)) for _, mask in G]
+    # G[g] is the suffix univ[starts[g]:] of the universals in prefix order
+    univ = [v for v in range(n) if quants[v] == "A"]
+    starts = [len(univ) - mask.bit_count() for _, mask in G]
 
     units = set()  # (pivot, target) of every unit clause, input or derived
     # the oracle sees units as unconditional edges and, per (pivot, target)
@@ -175,6 +181,8 @@ def solve(inst: QcspInstance) -> Verdict:
         pmasks.append(m)
         targets.append(t)
         by_pivot.setdefault(p, []).append(idx)
+        if memo:
+            memo["pivots"] |= 1 << p
         if derived_pair:
             pair_slot[(p, t)] = idx
 
@@ -195,9 +203,11 @@ def solve(inst: QcspInstance) -> Verdict:
         """True iff phi with x equated to the upward set G[g] and x < z is UNSAT."""
         nonlocal oracle_calls
         oracle_calls += 1
-        eqs = [(x, v) for v in g_vars[g] if v != x and v != z]
+        if oracle_calls > max_probes:
+            raise ResourceLimitError(f"solve exceeded {max_probes} probes")
         return closure(
-            n, pivots, pmasks, targets, eqs, edge_list, [(x, z)], [], by_pivot, memo=memo
+            n, pivots, pmasks, targets, (univ, starts[g]), edge_list, [(x, z)], [], by_pivot,
+            memo=memo,
         )[0] is None
 
     def verdict(pair=None):

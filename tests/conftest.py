@@ -37,6 +37,21 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def partition(rep):
+    """The classes of a plain closure's ``rep``, as sorted lists."""
+    classes = {}
+    for v, r in enumerate(rep):
+        classes.setdefault(r, set()).add(v)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def memo_partition(memo, c_mask):
+    """The classes after a SAT memo probe: its grown class ``c_mask`` and
+    every other variable's base class from ``memo["cls"]``."""
+    classes = {c_mask} | {c for c in memo["cls"] if not c & c_mask}
+    return sorted([v for v in range(len(memo["cls"])) if c >> v & 1] for c in classes)
+
+
 def make_instance(quants, clauses, names=None):
     """Build a solver-dialect instance from (pivot, partners, target) triples."""
     n = len(quants)

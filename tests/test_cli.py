@@ -329,6 +329,36 @@ def test_resource_limit_exit(capsys):
     assert code == 4
 
 
+def test_solve_probe_budget(capsys, tmp_path):
+    # two variables and no universals: one probe per ordered pair
+    path = tmp_path / "two.qcsp"
+    path.write_text("qcsp v1\nE x\nE y\n")
+    code, out, _ = run(capsys, "solve", path, "--max-probes", "2")
+    assert (code, out.strip()) == (0, "true")
+    code, out, err = run(capsys, "solve", path, "--max-probes", "1")
+    assert code == 4 and out == ""
+    assert err.startswith("resource limit:") and "exceeded 1 probes" in err
+    assert "Traceback" not in err
+
+
+def test_verify_strategy_replay_budget(capsys, tmp_path):
+    from ordhorn.formula import print_instance
+    from ordhorn.generators import parallel_chain
+
+    # the compiled chain branches on six universals: 268,449 replay nodes
+    path = tmp_path / "chain3.qcsp"
+    path.write_text(print_instance(parallel_chain(3)))
+    code, out, err = run(capsys, "verify-strategy", path, "--max-nodes", "1000")
+    assert code == 4 and out == ""
+    assert err.startswith("resource limit:") and "exceeded 1000 nodes" in err
+    assert "Traceback" not in err
+    # chain2's replay visits 1,716 nodes
+    code, out, _ = run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp", "--max-nodes", "1716")
+    assert (code, out.strip()) == (0, "win")
+    code, _, err = run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp", "--max-nodes", "1715")
+    assert code == 4 and "exceeded 1715 nodes" in err
+
+
 def test_parser_is_shared_and_keeps_no_state(capsys):
     assert build_parser() is build_parser()
     code, _, err = run(capsys, "brute", FIXTURES / "reject-cascade.qcsp", "--max-nodes", "2")
@@ -369,6 +399,8 @@ def test_flags_only_where_read(argv):
         ["brute", "x.qcsp", "--max-nodes", "-1"],
         ["derive", "x.qcsp", "--cap", "-1"],
         ["verify-strategy", "x.qcsp", "--cap", "-1"],
+        ["verify-strategy", "x.qcsp", "--max-nodes", "-1"],
+        ["solve", "x.qcsp", "--max-probes", "-1"],
     ],
 )
 def test_negative_counts_are_usage_errors(argv, capsys):

@@ -4,11 +4,11 @@ import itertools
 import random
 
 from ordhorn.formula import Atom, OhClause
-from ordhorn.generators import random_oh_conjunction
+from ordhorn.generators import parallel_chain, random_mplus_instance, random_oh_conjunction
 from ordhorn.ohsat import OhConjunction, entails, oh_sat
 from ordhorn.orders import WeakOrder, enumerate_weak_orders, eval_clause
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, memo_partition, partition
 from ordhorn.formula import parse_instance, normalize
 
 
@@ -254,18 +254,16 @@ def test_closure_matches_weak_order_brute_force():
             assert model_satisfies(conj, WeakOrder(tuple(level[r] for r in reps))), conj
 
 
-def _partition(rep):
-    classes = {}
-    for v, r in enumerate(rep):
-        classes.setdefault(r, set()).add(v)
-    return sorted(sorted(c) for c in classes.values())
+def _plain_eqs(x, z, order, j):
+    """A memo probe's equalities (order, j) as the plain closure's pairs."""
+    return [(x, v) for v in order[j:] if v != x and v != z]
 
 
 def test_memo_probe_matches_plain_closure():
-    """Probes answered from a base-fixpoint memo (x equated to a set, one
-    strict atom x < z) against the plain closure of the same conjunction:
-    same answer and, when satisfiable, the same class partition.  Two probes
-    share each fresh memo."""
+    """Probes answered from a base-fixpoint memo (x equated to a suffix of a
+    variable order, one strict atom x < z) against the plain closure of the
+    same conjunction: same answer and, when satisfiable, the same class
+    partition.  Two probes share each fresh memo."""
     from ordhorn.ohsat import closure
 
     rng = random.Random(909)
@@ -274,19 +272,127 @@ def test_memo_probe_matches_plain_closure():
         n = rng.randint(2, 6)
         pivots, pmasks, targets, by_pivot, _, edges = _random_closure_input(rng, n)
         memo = {}
+        order = rng.sample(range(n), rng.randint(0, n))
         for _ in range(2):
             x, z = rng.sample(range(n), 2)
-            eqs = [(x, v) for v in range(n) if v != x and rng.random() < 0.3]
-            args = (n, pivots, pmasks, targets, eqs, edges, [(x, z)], [], by_pivot)
-            got = closure(*args, memo=memo)
+            j = rng.randint(0, len(order))
+            got = closure(n, pivots, pmasks, targets, (order, j), edges, [(x, z)], [], by_pivot,
+                          memo=memo)
+            args = (n, pivots, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
+                    by_pivot)
             plain = closure(*args)
             assert (got[0] is None) == (plain[0] is None), args
             if got[0] is None:
                 unsat += 1
                 assert got[2]
             else:
-                assert _partition(got[0]) == _partition(plain[0]), args
+                assert memo_partition(memo, got[0]) == partition(plain[0]), args
     assert unsat > 100
+
+
+def _range_probe_cases(inst):
+    """An M+ instance as the solver hands it to the oracle: clause arrays,
+    by_pivot, unit edges and the universals in prefix order."""
+    pivots, pmasks, targets, by_pivot, edges = [], [], [], {}, []
+    for c in inst.matrix:
+        if c.partners:
+            by_pivot.setdefault(c.pivot, []).append(len(pivots))
+            pivots.append(c.pivot)
+            pmasks.append(sum(1 << p for p in c.partners))
+            targets.append(c.target)
+        else:
+            edges.append((c.target, c.pivot))
+    order = [v for v in range(inst.n_vars) if inst.quants[v] == "A"]
+    return pivots, pmasks, targets, by_pivot, edges, order
+
+
+def _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen, new_id=None):
+    """Memo probes (x, z, j) of this clause set against the plain closure,
+    for every pair and each suffix start j that puts x or z at an end of
+    order[j:] or just before it; ``seen`` counts where z and x sit relative
+    to order[j:].  Returns how many probes fired clause ``new_id``."""
+    from ordhorn.ohsat import closure
+
+    fired_new = 0
+    m = len(order)
+    at = {v: i for i, v in enumerate(order)}
+    for x in range(n):
+        for z in range(n):
+            if x == z:
+                continue
+            ends = {0, m, m - 1}
+            for v in (x, z):
+                if v in at:
+                    ends |= {at[v], at[v] + 1}
+            for j in sorted(e for e in ends if 0 <= e <= m):
+                got = closure(n, pivots, pmasks, targets, (order, j), edges, [(x, z)], [],
+                              by_pivot, memo=memo)
+                args = (n, pivots, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)],
+                        [], by_pivot)
+                plain = closure(*args)
+                assert (got[0] is None) == (plain[0] is None), args
+                if got[0] is None:
+                    fired = {e[1] for e in got[2] if e[0] == "fire"}
+                else:
+                    assert memo_partition(memo, got[0]) == partition(plain[0]), args
+                    fired = set(got[3])
+                fired_new += new_id in fired
+                iz = at.get(z, -1)
+                if iz < 0:
+                    where = "z existential"
+                elif iz < j:
+                    where = "z before"
+                elif iz == j:
+                    where = "z first"
+                elif iz == m - 1:
+                    where = "z last"
+                else:
+                    where = "z middle"
+                seen[where] += 1
+                seen["x inside" if at.get(x, -1) >= j else "x outside"] += 1
+    return fired_new
+
+
+def test_memo_probe_range_split():
+    """The memo probe starts from range ORs over the universals, split at z
+    when z lies in the range.  Probes of every pair of chains 1..8 and of
+    seeded random instances, at the suffix starts ``_sweep`` picks, agree
+    with the plain closure, also after a
+    live clause with a new pivot, which the memo owner ORs into
+    ``memo["pivots"]`` without clearing the memo."""
+    from collections import Counter
+
+    rng = random.Random(1600)
+    instances = [parallel_chain(k) for k in range(1, 9)]
+    instances += [random_mplus_instance(rng, max_vars=8, max_clauses=8) for _ in range(150)]
+    seen = Counter()
+    live_fires = 0
+    for inst in instances:
+        n = inst.n_vars
+        pivots, pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
+        memo = {}
+        _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen)
+        if not memo:
+            continue  # the base fixpoint refutes every probe
+        # a clause on a new pivot that cannot fire in the base fixpoint
+        fresh = [(p, m, t) for p in range(n) if p not in by_pivot
+                 for m in (1 << q for q in range(n) if q != p)
+                 for t in range(n) if t != p and m & ~memo["cls"][p]]
+        if not fresh:
+            continue
+        p, m, t = rng.choice(fresh)
+        new_id = len(pivots)
+        pivots.append(p)
+        pmasks.append(m)
+        targets.append(t)
+        by_pivot[p] = [new_id]
+        memo["pivots"] |= 1 << p
+        live_fires += _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen,
+                             new_id)
+    for where in ("z existential", "z before", "z first", "z middle", "z last",
+                  "x inside", "x outside"):
+        assert seen[where] > 100, (where, seen)
+    assert live_fires > 100
 
 
 def test_memo_fill_fires_base_clauses():
@@ -295,6 +401,7 @@ def test_memo_fill_fires_base_clauses():
     and with 2 <= 0 it puts 1 below 0, so the probe 0 < 1 is refuted."""
     from ordhorn.ohsat import closure
 
-    args = (4, [2], [1 << 3], [1], [], [(2, 3), (3, 2), (2, 0)], [(0, 1)], [], {2: [0]})
-    assert closure(*args)[0] is None
-    assert closure(*args, memo={})[0] is None
+    clauses = (4, [2], [1 << 3], [1])
+    atoms = ([(2, 3), (3, 2), (2, 0)], [(0, 1)], [], {2: [0]})
+    assert closure(*clauses, [], *atoms)[0] is None
+    assert closure(*clauses, ([], 0), *atoms, memo={})[0] is None

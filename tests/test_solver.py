@@ -11,7 +11,7 @@ from ordhorn.game import brute_solve
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.solver import DialectError, compile_to_mplus, cut_set, solve, up_set
 
-from conftest import make_general, make_instance, peak_bytes
+from conftest import make_general, make_instance, memo_partition, partition, peak_bytes
 
 
 @pytest.fixture
@@ -316,16 +316,23 @@ def test_solve_empty_instance():
 
 def test_each_probe_is_one_closure_call(monkeypatch):
     """Each solver probe is one call of the closure the solver imports, and
-    its answer from the base-fixpoint memo is a memo-free closure's."""
+    its answer from the base-fixpoint memo is a memo-free closure's, with
+    the same class partition when satisfiable."""
     import ordhorn.solver as solver_module
     from ordhorn.ohsat import closure
 
     calls = []
 
-    def checked(*args, memo):
-        got = closure(*args, memo=memo)
-        assert (got[0] is None) == (closure(*args)[0] is None)
-        calls.append(args[6])
+    def checked(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo):
+        got = closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=memo)
+        (x, z), = lts
+        order, j = eqs
+        pairs = [(x, v) for v in order[j:] if v != x and v != z]
+        plain = closure(n, pivots, pmasks, targets, pairs, les, lts, nes, by_pivot)
+        assert (got[0] is None) == (plain[0] is None)
+        if got[0] is not None:
+            assert memo_partition(memo, got[0]) == partition(plain[0])
+        calls.append(lts)
         return got
 
     monkeypatch.setattr(solver_module, "closure", checked)
