@@ -229,27 +229,15 @@ def _oriented(clause):
 def ppsynt_shape(f: QfFormula) -> bool:
     """Syntactic test for the {!=, >=} clause shape with a common pivot."""
     for clause in f.clauses:
-        ne_pairs = []
-        ge_lefts = []
-        ok = True
-        for a in _oriented(clause):
-            if a.op == "!=":
-                ne_pairs.append({a.left, a.right})
-            elif a.op == ">=":
-                ge_lefts.append(a.left)
-            else:
-                ok = False
-                break
-        if not ok:
+        atoms = _oriented(clause)
+        if any(a.op not in ("!=", ">=") for a in atoms):
             return False
-        candidates = set(range(f.arity))
-        for pair in ne_pairs:
-            candidates &= pair
-        if ge_lefts:
-            candidates &= set(ge_lefts)
-            if len(set(ge_lefts)) > 1:
-                return False
-        if not candidates:
+        # the pivot is the one >= left, or any position without a >= atom
+        candidates = {a.left for a in atoms if a.op == ">="}
+        if len(candidates) > 1:
+            return False
+        candidates = candidates or set(range(f.arity))
+        if not candidates.intersection(*({a.left, a.right} for a in atoms if a.op == "!=")):
             return False
     return True
 
@@ -314,51 +302,45 @@ def goh_syntactic(f: QfFormula) -> bool:
             return False
         clauses.append(norm)
 
+    def splits(group):
+        """(residues, outside) for each pure-<= guard in ``group`` and each
+        nonempty set of companions holding its disequality counterparts."""
+        for gi, guard in enumerate(group):
+            if not guard or any(k != "le" for k, _, _ in guard):
+                continue
+            needed = {("ne", min(a, b), max(a, b)) for _, a, b in guard}
+            rest = group[:gi] + group[gi + 1 :]
+            candidates = [
+                i
+                for i, c in enumerate(rest)
+                if needed <= {("ne", min(a, b), max(a, b)) if k == "ne" else (k, a, b) for k, a, b in c}
+            ]
+            for size in range(1, len(candidates) + 1):
+                for combo in itertools.combinations(candidates, size):
+                    residues = tuple(
+                        tuple(sorted(
+                            (k, a, b)
+                            for k, a, b in rest[i]
+                            if not (k == "ne" and ("ne", min(a, b), max(a, b)) in needed)
+                        ))
+                        for i in combo
+                    )
+                    # an empty residue would certify falsity, not truth
+                    if all(residues):
+                        yield residues, tuple(c for i, c in enumerate(rest) if i not in combo)
+
     memo = {}
 
     def parse(group) -> bool:
         if not group:
             return True
         key = tuple(sorted(group))
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle guard
-        result = False
-        if all(_goh_base(c) for c in group):
-            result = True
-        else:
-            for gi, guard in enumerate(group):
-                if not guard or any(k != "le" for k, _, _ in guard):
-                    continue
-                needed = {("ne", min(a, b), max(a, b)) for _, a, b in guard}
-                rest = group[:gi] + group[gi + 1 :]
-                candidates = [
-                    i
-                    for i, c in enumerate(rest)
-                    if needed <= {("ne", min(a, b), max(a, b)) if k == "ne" else (k, a, b) for k, a, b in c}
-                ]
-                for size in range(1, len(candidates) + 1):
-                    for combo in itertools.combinations(candidates, size):
-                        residues = []
-                        for i in combo:
-                            res = [
-                                (k, a, b)
-                                for k, a, b in rest[i]
-                                if not (k == "ne" and ("ne", min(a, b), max(a, b)) in needed)
-                            ]
-                            residues.append(tuple(sorted(res)))
-                        if any(not res for res in residues):
-                            continue  # an empty residue would certify falsity, not truth
-                        outside = tuple(c for i, c in enumerate(rest) if i not in combo)
-                        if parse(tuple(residues)) and parse(outside):
-                            result = True
-                            break
-                    if result:
-                        break
-                if result:
-                    break
-        memo[key] = result
-        return result
+        if key not in memo:
+            memo[key] = False  # cycle guard
+            memo[key] = all(_goh_base(c) for c in group) or any(
+                parse(residues) and parse(outside) for residues, outside in splits(group)
+            )
+        return memo[key]
 
     return parse(tuple(clauses))
 

@@ -15,37 +15,41 @@ it, so numbering the classes by that count gives distinct classes distinct
 values in a topological order, which satisfies every clause that never
 fired.  A SAT model is any such witnessing order.
 
-There is one closure engine, :func:`closure`, shared by :func:`oh_sat` and
-the solver.  It indexes clauses by pivot and re-examines a clause only when
-its pivot's class grows, so a clause with no partner besides its pivot
-would never be examined: callers pass such clauses as plain edges (or,
-without an order disjunct, refute at once), and a clause left out of the
-index never fires.
+There is one closure engine behind two entry points.  It indexes clauses
+by pivot and re-examines a clause only when its pivot's class grows, so a
+clause with no partner besides its pivot would never be examined: callers
+pass such clauses as plain edges (or, without an order disjunct, refute at
+once), and a clause left out of the index never fires.
 
-The solver asks many probes of one clause set, each "x equal to a set U
-and x < z", and answers them from a *memo* of the set's base fixpoint.
-The solver owns the memo (a dict) and passes it with each probe.  An
-empty memo is filled by the probe's own :func:`closure` call, which first
-runs the mask fixpoint with no equalities and no strict atoms and stores
-its masks: each variable's ``up``/``down``, its base class
-``cls = up & down``, and ``pivots``, the mask of the variables with
-indexed clauses.  U is a suffix ``order[j:]`` of one variable order (the
-solver's universals in prefix order) less x and z, so the first probe
-after a fill builds a sparse table of ORs (Bender and Farach-Colton,
-LATIN 2000, with OR in place of min) of the packed masks
-``cls | up << n | down << 2n`` over ``order``; a probe's start
+:func:`closure` decides one conjunction of clauses and atoms, returning
+each variable's level in a model or a refutation certificate; :func:`oh_sat`
+is built on it.
+
+:func:`probe` answers the solver's question about one clause set, "x equal
+to a set U and x < z", from a *memo* of the set's base fixpoint: the mask
+fixpoint of its clauses and ``<=`` edges alone.  U is a suffix
+``order[j:]`` of one variable order (the solver's universals in prefix
+order) less x and z.  A probe that finds the memo empty fills it in one
+step: each variable's ``up``/``down`` and base class ``cls = up & down``,
+``pivots``, the mask of the variables with indexed clauses, a sparse table
+of ORs (Bender and Farach-Colton, LATIN 2000, with OR in place of min) of
+the packed masks ``cls | up << n | down << 2n`` over ``order``, and each
+variable's position in ``order``.  A probe's start
 ``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, is then at
 most two range queries, split at z when z lies in the range.  A probe
 fires the clauses pivoted in ``C`` (the bits of ``C & pivots``) whose
 partners lie in ``C`` (their targets form ``T``) and absorbs
 ``up(C) & down(C | T)`` until nothing changes; no other class can change,
 because every fired edge points into ``C``.  The probe is unsatisfiable
-iff ``up(z)`` meets ``C | T``.  The owner clears the memo whenever the
-base fixpoint may move: when a unit clause is added (a new edge, or a
-retired slot) and when a new or shrunk partner set lies inside its
-pivot's base class (a clause that fires in the base).  A clause added
-outside those cases is read live from ``pmasks``/``targets``/``by_pivot``
-by later probes, and the owner ORs its pivot into ``memo["pivots"]``.
+iff ``up(z)`` meets ``C | T``.
+
+The memo's owner keeps it as a dict and passes it, with the same
+``order``, to every probe of one clause set.  It clears the memo whenever
+the base fixpoint may move: when a unit clause is added (a new edge, or a
+retired slot) and when a new or shrunk partner set lies inside its pivot's
+base class (a clause that fires in the base).  Any other added clause is
+read live from ``pmasks``/``targets``/``by_pivot`` by later probes, once
+the owner ORs its pivot into ``memo["pivots"]``.
 """
 
 from __future__ import annotations
@@ -100,10 +104,10 @@ def _bits(mask):
         mask ^= bit
 
 
-def _fixpoint(n, pivots, pmasks, targets, edges, by_pivot, events):
+def _fixpoint(n, pmasks, targets, edges, by_pivot, events):
     """Close the edges (a, b), each a <= b, under transitivity and clause
-    firing.  Returns the order masks (up, down) and the fired clauses'
-    edges, or None once a clause without an order disjunct fires."""
+    firing.  Returns the order masks (up, down), or None once a clause
+    without an order disjunct fires."""
     up = [1 << v for v in range(n)]
     down = up[:]
     fired = set()
@@ -130,62 +134,44 @@ def _fixpoint(n, pivots, pmasks, targets, edges, by_pivot, events):
                         events.append(("empty-clause", i))
                         return None
                     work.append((targets[i], p))
-    return up, down, work[len(edges):]
+    return up, down
 
 
-def closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=None):
-    """Order-mask closure over clauses i = (pivots[i], pmasks[i], targets[i])
-    and the atoms x = y (eqs), x <= y (les), x < y (lts) and x != y (nes).
+def closure(n, pmasks, targets, eqs, les, lts, nes, by_pivot):
+    """Order-mask closure over the clauses i (partner mask ``pmasks[i]``,
+    target ``targets[i]``) indexed in ``by_pivot`` and the atoms x = y
+    (eqs), x <= y (les), x < y (lts) and x != y (nes).
 
     A target of -1 means the clause has no order disjunct.  ``by_pivot``
     maps each pivot variable to its clause ids, and a clause is checked
     only when its pivot's class grows, so a slot left out of ``by_pivot``
     never fires.  Every indexed clause must have a partner besides its pivot
     (partner-free clauses are passed as ``les`` edges (target, pivot)).
-    Returns (rep, sccs, None, fired_edges) on success, with rep[v] the
-    lowest variable of v's class and sccs one [r] per class, each after
-    every class it must not exceed, so the highest class comes first.  On
-    refutation it returns (None, None, certificate, None), the certificate
-    being the event sequence: ("merge", a, b) for each edge a <= b that
-    closed a cycle, ("fire", i) for each fired clause, then one of
-    ("empty-clause", i), ("strict-cycle", a, b) or ("forced-equal", a, b).
-
-    With a ``memo`` (see the module docstring) the call is a probe: ``lts``
-    is the one atom x < z, ``nes`` is empty, and ``eqs`` is a pair
-    (order, j) equating x with every variable of ``order[j:]`` except x
-    and z.  Every probe of one memo passes the same ``order`` list.  An
-    empty memo is first filled from this clause set.  A probe returns
-    (c_mask, None, None, fired) on success: the bit mask of x's grown
-    class and the ids of the clauses that fire in it; on refutation the
-    certificate lists those clauses' ("fire", i) events, then an
-    "empty-clause" or "strict-cycle" event.
+    Returns (level, None) on success, level[v] being v's level in a model:
+    variables share a level iff they share a class, and distinct classes
+    get distinct levels 0, 1, ... in a topological order.  On refutation it
+    returns (None, certificate), the event sequence: ("merge", a, b) for
+    each edge a <= b that closed a cycle, ("fire", i) for each fired clause,
+    then one of ("empty-clause", i), ("strict-cycle", a, b) or
+    ("forced-equal", a, b).
     """
-    if memo is not None:
-        if not memo:
-            events = []
-            masks = _fixpoint(n, pivots, pmasks, targets, les, by_pivot, events)
-            if masks is None:
-                return None, None, events, None  # every probe of this clause set is refuted
-            up, down, _ = masks
-            memo.update(cls=[u & d for u, d in zip(up, down)], up=up, down=down,
-                        pivots=sum(1 << p for p, ids in by_pivot.items() if ids))
-        return _probe(memo, pmasks, targets, eqs, lts, nes, by_pivot)
     events = []
     edges = [e for a, b in eqs for e in ((a, b), (b, a))]
-    masks = _fixpoint(n, pivots, pmasks, targets, [*edges, *les, *lts], by_pivot, events)
+    masks = _fixpoint(n, pmasks, targets, [*edges, *les, *lts], by_pivot, events)
     if masks is None:
-        return None, None, events, None
-    up, down, fired_edges = masks
+        return None, events
+    up, down = masks
     cls = [u & d for u, d in zip(up, down)]
     for kind, pairs in (("strict-cycle", lts), ("forced-equal", nes)):
         for a, b in pairs:
             if cls[a] >> b & 1:
                 events.append((kind, a, b))
-                return None, None, events, None
+                return None, events
     rep = [(c & -c).bit_length() - 1 for c in cls]
     # a class strictly below another has fewer variables at or below it
-    sccs = [[r] for r in sorted(set(rep), key=lambda r: (-down[r].bit_count(), r))]
-    return rep, sccs, None, fired_edges
+    ranked = sorted(set(rep), key=lambda r: (down[r].bit_count(), -r))
+    level = {r: i for i, r in enumerate(ranked)}
+    return [level[r] for r in rep], None
 
 
 def _range_table(order, cls, up, down):
@@ -209,24 +195,35 @@ def _range_or(table, lo, hi):
     return row[lo] | row[hi - (1 << k)]
 
 
-def _probe(memo, pmasks, targets, eqs, lts, nes, by_pivot):
-    """Answer x = order[j:] (less x and z), x < z from the base fixpoint
-    in ``memo``."""
-    if len(lts) != 1 or nes:
-        raise ValueError("a memo probe takes one strict atom and no disequalities")
-    ((x, z),) = lts
-    order, j = eqs
-    cls, up, down, piv = memo["cls"], memo["up"], memo["down"], memo["pivots"]
-    if memo.get("order") is not order:  # the first probe since the fill
-        memo.update(order=order, table=_range_table(order, cls, up, down),
+def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
+    """Decide x = ``order[j:]`` (less x and z) and x < z over the clauses of
+    :func:`closure` and the ``<=`` edges, from the base fixpoint in ``memo``
+    (see the module docstring), filling an empty memo first.
+
+    Returns (c_mask, None, None, fired) on success: the bit mask of x's
+    grown class and the ids of the clauses that fire in it.  On refutation
+    it returns (None, None, certificate, None).  The certificate lists the
+    fired clauses' ("fire", i) events, then an "empty-clause" or
+    "strict-cycle" event; when the base fixpoint itself is refuted, the memo
+    stays empty and the certificate is that fixpoint's.
+    """
+    if not memo:
+        events = []
+        masks = _fixpoint(n, pmasks, targets, edges, by_pivot, events)
+        if masks is None:
+            return None, None, events, None  # every probe of this clause set is refuted
+        up, down = masks
+        cls = [u & d for u, d in zip(up, down)]
+        memo.update(cls=cls, up=up, down=down,
+                    pivots=sum(1 << p for p, ids in by_pivot.items() if ids),
+                    table=_range_table(order, cls, up, down),
                     at={v: i for i, v in enumerate(order)})
-    table = memo["table"]
+    cls, up, down, piv, table = memo["cls"], memo["up"], memo["down"], memo["pivots"], memo["table"]
     iz = memo["at"].get(z, -1)
     if iz >= j:  # z splits the range
         packed = _range_or(table, j, iz) | _range_or(table, iz + 1, len(order))
     else:
         packed = _range_or(table, j, len(order))
-    n = len(cls)
     full = (1 << n) - 1
     # the masks of C (x's grown class), up(C) and down(C | T)
     c_mask = cls[x] | packed & full
@@ -260,7 +257,7 @@ def _probe(memo, pmasks, targets, eqs, lts, nes, by_pivot):
 def oh_sat(conj: OhConjunction):
     """Decide a conjunction; SAT answers carry a witnessing weak order."""
     eqs, les, lts, nes = _normalize_atoms(conj.atoms)
-    pivots, pmasks, targets = [], [], []
+    pmasks, targets = [], []
     by_pivot = {}
     for i, c in enumerate(conj.clauses):
         m = 0
@@ -273,16 +270,12 @@ def oh_sat(conj: OhConjunction):
             return UnsatResult([("fire", i), ("empty-clause", i)])
         else:
             les.append((target, c.pivot))
-        pivots.append(c.pivot)
         pmasks.append(m)
         targets.append(target)
-    rep, sccs, cert, _ = closure(
-        conj.n_vars, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot
-    )
-    if rep is None:
+    level, cert = closure(conj.n_vars, pmasks, targets, eqs, les, lts, nes, by_pivot)
+    if level is None:
         return UnsatResult(cert)
-    level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
-    return SatResult(WeakOrder(tuple(level[r] for r in rep)))
+    return SatResult(WeakOrder(tuple(level)))
 
 
 def entails(conj: OhConjunction, atom: Atom) -> bool:

@@ -13,14 +13,13 @@ equality set shrinks (binary search over the upward sets per pair), and
 unsatisfiability persists as the clause set grows (known-unsatisfiable
 prefixes are not re-probed across passes).
 
-Each probe is one :func:`~ordhorn.ohsat.closure` call with the solver's
-memo of the clause set's base fixpoint, filled by the first probe after
-the memo is cleared.  A probe passes its upward set, a suffix of the
-universals in prefix order, as (universals, start index).  ``add_clause``
-clears the memo when a unit clause is added and when a new or shrunk
-partner set lies inside its pivot's base class; any other clause cannot
-fire in the base fixpoint and is read live, its pivot ORed into the
-memo's ``pivots`` mask.
+Each probe is one :func:`~ordhorn.ohsat.probe` call with the solver's
+memo of the clause set's base fixpoint, which the probe fills whenever it
+finds the memo empty; ``add_clause`` keeps the memo as the owner's duties
+in :mod:`ordhorn.ohsat` require.  A probe passes its upward set, a suffix
+of the universals in prefix order, as (universals, start index).  The
+solver imports ``probe`` as ``closure`` because the benchmark in
+``perfbench/`` traces the probe under that name.
 
 The derivation log is the one record of derived clauses; events hold
 (pivot, partner mask, target) and build their ``OhClause`` on read.  Each
@@ -36,7 +35,8 @@ from functools import cached_property
 from typing import Optional
 
 from .formula import OhClause, QcspInstance, ResourceLimitError, normalize
-from .ohsat import _bits, closure
+from .ohsat import _bits
+from .ohsat import probe as closure  # the benchmark traces ordhorn.solver.closure
 
 
 class DialectError(ValueError):
@@ -151,7 +151,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     units = set()  # (pivot, target) of every unit clause, input or derived
     # the oracle sees units as unconditional edges and, per (pivot, target)
     # pair, only the smallest derived partner set (it entails larger ones)
-    pivots, pmasks, targets = [], [], []
+    pmasks, targets = [], []
     by_pivot = {}
     edge_list = []
     pair_slot = {}
@@ -169,20 +169,20 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
             return
         if derived_pair and (p, t) in units:
             return  # the unit already subsumes it
-        if memo and not m & ~memo["cls"][p]:
-            memo.clear()  # the clause fires in the base fixpoint
+        if memo:
+            if m & ~memo["cls"][p]:
+                memo["pivots"] |= 1 << p  # read live by later probes
+            else:
+                memo.clear()  # the clause fires in the base fixpoint
         if slot is not None:
             if m & ~pmasks[slot]:
                 raise RuntimeError("derived partner sets must shrink")
             pmasks[slot] = m
             return
-        idx = len(pivots)
-        pivots.append(p)
+        idx = len(pmasks)
         pmasks.append(m)
         targets.append(t)
         by_pivot.setdefault(p, []).append(idx)
-        if memo:
-            memo["pivots"] |= 1 << p
         if derived_pair:
             pair_slot[(p, t)] = idx
 
@@ -205,10 +205,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         oracle_calls += 1
         if oracle_calls > max_probes:
             raise ResourceLimitError(f"solve exceeded {max_probes} probes")
-        return closure(
-            n, pivots, pmasks, targets, (univ, starts[g]), edge_list, [(x, z)], [], by_pivot,
-            memo=memo,
-        )[0] is None
+        return closure(n, memo, pmasks, targets, by_pivot, edge_list, x, z, univ, starts[g])[0] is None
 
     def verdict(pair=None):
         """True, or false with the unit clause that rejects the pair."""

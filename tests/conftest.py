@@ -37,10 +37,11 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-def partition(rep):
-    """The classes of a plain closure's ``rep``, as sorted lists."""
+def partition(level):
+    """The classes of a plain closure's ``level`` list (the variables of
+    each level), as sorted lists."""
     classes = {}
-    for v, r in enumerate(rep):
+    for v, r in enumerate(level):
         classes.setdefault(r, set()).add(v)
     return sorted(sorted(c) for c in classes.values())
 

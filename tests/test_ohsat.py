@@ -156,8 +156,9 @@ def test_model_uses_distinct_levels_per_class():
 
 def test_sccs_match_mutual_reachability():
     """closure on seeded random graphs with duplicate edges and self-loops,
-    given as ``les`` edges with no clauses: the classes are mutual
-    reachability, and sccs lists each class after every class above it."""
+    given as ``les`` edges with no clauses: variables share a level iff they
+    reach each other, a variable's level is at most that of every variable
+    it reaches, and the levels are 0, 1, ... with none skipped."""
     from ordhorn.ohsat import closure
 
     rng = random.Random(1972)
@@ -182,20 +183,19 @@ def test_sccs_match_mutual_reachability():
                         seen.add(w)
                         todo.append(w)
             reach.append(seen)
-        rep, sccs, _, _ = closure(n, [], [], [], [], edges, [], [], {})
-        assert sorted(r for (r,) in sccs) == sorted(set(rep))
-        comp_of = {r: i for i, (r,) in enumerate(sccs)}
+        level, _ = closure(n, [], [], [], edges, [], [], {})
+        assert sorted(set(level)) == list(range(len(set(level))))
         for v in range(n):
             for w in range(n):
-                assert (rep[v] == rep[w]) == (w in reach[v] and v in reach[w])
+                assert (level[v] == level[w]) == (w in reach[v] and v in reach[w])
                 if w in reach[v]:
-                    assert comp_of[rep[w]] <= comp_of[rep[v]]
+                    assert level[v] <= level[w]
 
 
 def _random_closure_input(rng, n):
     """Clause arrays under the solver's conventions (partner-free clauses as
     edges, retired entries) plus the live clauses and the edges."""
-    pivots, pmasks, targets = [], [], []
+    pmasks, targets = [], []
     live = []  # the entries that are not retired, as clauses
     by_pivot = {}
     for i in range(rng.randint(0, 4)):
@@ -210,14 +210,13 @@ def _random_closure_input(rng, n):
         # a retired entry stays in the arrays, as a clause that would
         # refute if it fired, but is left out of by_pivot
         retired = target == -2
-        pivots.append(pivot)
         pmasks.append(m)
         targets.append(-1 if retired else target)
         if not retired:
             by_pivot.setdefault(pivot, []).append(i)
             live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
-    return pivots, pmasks, targets, by_pivot, live, edges
+    return pmasks, targets, by_pivot, live, edges
 
 
 def test_closure_matches_weak_order_brute_force():
@@ -231,7 +230,7 @@ def test_closure_matches_weak_order_brute_force():
     orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
     for _ in range(1500):
         n = rng.randint(2, 5)
-        pivots, pmasks, targets, by_pivot, live, edges = _random_closure_input(rng, n)
+        pmasks, targets, by_pivot, live, edges = _random_closure_input(rng, n)
         eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
@@ -242,16 +241,15 @@ def test_closure_matches_weak_order_brute_force():
             + [Atom(a, "!=", b) for a, b in nes]
         )
         conj = OhConjunction(n, tuple(live), tuple(atoms))
-        reps, sccs, cert, _ = closure(n, pivots, pmasks, targets, eqs, edges, lts, nes, by_pivot)
+        level, cert = closure(n, pmasks, targets, eqs, edges, lts, nes, by_pivot)
         truth = any(model_satisfies(conj, w) for w in orders[n])
-        assert (reps is not None) == truth, conj
-        if reps is None:
+        assert (level is not None) == truth, conj
+        if level is None:
             assert cert
         else:
-            assert all(reps[reps[v]] == reps[v] for v in range(n))
-            # the class order, highest first, numbered downwards
-            level = {comp[0]: len(sccs) - 1 - i for i, comp in enumerate(sccs)}
-            assert model_satisfies(conj, WeakOrder(tuple(level[r] for r in reps))), conj
+            assert cert is None
+            assert sorted(set(level)) == list(range(len(set(level))))
+            assert model_satisfies(conj, WeakOrder(tuple(level))), conj
 
 
 def _plain_eqs(x, z, order, j):
@@ -263,55 +261,59 @@ def test_memo_probe_matches_plain_closure():
     """Probes answered from a base-fixpoint memo (x equated to a suffix of a
     variable order, one strict atom x < z) against the plain closure of the
     same conjunction: same answer and, when satisfiable, the same class
-    partition.  Two probes share each fresh memo."""
-    from ordhorn.ohsat import closure
+    partition.  Two probes share each fresh memo.  A probe whose base
+    fixpoint is refuted leaves the memo empty and ends its certificate with
+    the clause that emptied it."""
+    from ordhorn.ohsat import closure, probe
 
     rng = random.Random(909)
-    unsat = 0
+    unsat = base_refuted = 0
     for _ in range(750):
         n = rng.randint(2, 6)
-        pivots, pmasks, targets, by_pivot, _, edges = _random_closure_input(rng, n)
+        pmasks, targets, by_pivot, _, edges = _random_closure_input(rng, n)
         memo = {}
         order = rng.sample(range(n), rng.randint(0, n))
         for _ in range(2):
             x, z = rng.sample(range(n), 2)
             j = rng.randint(0, len(order))
-            got = closure(n, pivots, pmasks, targets, (order, j), edges, [(x, z)], [], by_pivot,
-                          memo=memo)
-            args = (n, pivots, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
-                    by_pivot)
-            plain = closure(*args)
-            assert (got[0] is None) == (plain[0] is None), args
+            was_empty = not memo
+            got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
+            args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [], by_pivot)
+            level, _ = closure(*args)
+            assert (got[0] is None) == (level is None), args
             if got[0] is None:
                 unsat += 1
                 assert got[2]
             else:
-                assert memo_partition(memo, got[0]) == partition(plain[0]), args
+                assert memo_partition(memo, got[0]) == partition(level), args
+            if was_empty and not memo:
+                base_refuted += 1
+                assert got[2][-1][0] == "empty-clause", args
     assert unsat > 100
+    assert base_refuted > 10
 
 
 def _range_probe_cases(inst):
     """An M+ instance as the solver hands it to the oracle: clause arrays,
     by_pivot, unit edges and the universals in prefix order."""
-    pivots, pmasks, targets, by_pivot, edges = [], [], [], {}, []
+    pmasks, targets, by_pivot, edges = [], [], {}, []
     for c in inst.matrix:
         if c.partners:
-            by_pivot.setdefault(c.pivot, []).append(len(pivots))
-            pivots.append(c.pivot)
+            by_pivot.setdefault(c.pivot, []).append(len(pmasks))
             pmasks.append(sum(1 << p for p in c.partners))
             targets.append(c.target)
         else:
             edges.append((c.target, c.pivot))
     order = [v for v in range(inst.n_vars) if inst.quants[v] == "A"]
-    return pivots, pmasks, targets, by_pivot, edges, order
+    return pmasks, targets, by_pivot, edges, order
 
 
-def _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen, new_id=None):
+def _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id=None):
     """Memo probes (x, z, j) of this clause set against the plain closure,
     for every pair and each suffix start j that puts x or z at an end of
     order[j:] or just before it; ``seen`` counts where z and x sit relative
     to order[j:].  Returns how many probes fired clause ``new_id``."""
-    from ordhorn.ohsat import closure
+    from ordhorn.ohsat import closure, probe
 
     fired_new = 0
     m = len(order)
@@ -325,16 +327,15 @@ def _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen, new_i
                 if v in at:
                     ends |= {at[v], at[v] + 1}
             for j in sorted(e for e in ends if 0 <= e <= m):
-                got = closure(n, pivots, pmasks, targets, (order, j), edges, [(x, z)], [],
-                              by_pivot, memo=memo)
-                args = (n, pivots, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)],
-                        [], by_pivot)
-                plain = closure(*args)
-                assert (got[0] is None) == (plain[0] is None), args
+                got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
+                args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
+                        by_pivot)
+                level, _ = closure(*args)
+                assert (got[0] is None) == (level is None), args
                 if got[0] is None:
                     fired = {e[1] for e in got[2] if e[0] == "fire"}
                 else:
-                    assert memo_partition(memo, got[0]) == partition(plain[0]), args
+                    assert memo_partition(memo, got[0]) == partition(level), args
                     fired = set(got[3])
                 fired_new += new_id in fired
                 iz = at.get(z, -1)
@@ -369,9 +370,9 @@ def test_memo_probe_range_split():
     live_fires = 0
     for inst in instances:
         n = inst.n_vars
-        pivots, pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
+        pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
         memo = {}
-        _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen)
+        _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen)
         if not memo:
             continue  # the base fixpoint refutes every probe
         # a clause on a new pivot that cannot fire in the base fixpoint
@@ -381,14 +382,12 @@ def test_memo_probe_range_split():
         if not fresh:
             continue
         p, m, t = rng.choice(fresh)
-        new_id = len(pivots)
-        pivots.append(p)
+        new_id = len(pmasks)
         pmasks.append(m)
         targets.append(t)
         by_pivot[p] = [new_id]
         memo["pivots"] |= 1 << p
-        live_fires += _sweep(n, pivots, pmasks, targets, by_pivot, edges, order, memo, seen,
-                             new_id)
+        live_fires += _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id)
     for where in ("z existential", "z before", "z first", "z middle", "z last",
                   "x inside", "x outside"):
         assert seen[where] > 100, (where, seen)
@@ -399,9 +398,11 @@ def test_memo_fill_fires_base_clauses():
     """A clause that fires in the base fixpoint is part of the memo: the
     clause 2 != 3 | 2 >= 1 fires once the units make 2 and 3 one class,
     and with 2 <= 0 it puts 1 below 0, so the probe 0 < 1 is refuted."""
-    from ordhorn.ohsat import closure
+    from ordhorn.ohsat import closure, probe
 
-    clauses = (4, [2], [1 << 3], [1])
-    atoms = ([(2, 3), (3, 2), (2, 0)], [(0, 1)], [], {2: [0]})
-    assert closure(*clauses, [], *atoms)[0] is None
-    assert closure(*clauses, ([], 0), *atoms, memo={})[0] is None
+    pmasks, targets, by_pivot = [1 << 3], [1], {2: [0]}
+    les = [(2, 3), (3, 2), (2, 0)]
+    assert closure(4, pmasks, targets, [], les, [(0, 1)], [], by_pivot)[0] is None
+    memo = {}
+    assert probe(4, memo, pmasks, targets, by_pivot, les, 0, 1, [], 0)[0] is None
+    assert memo, "the base fixpoint is satisfiable, so the probe fills the memo"

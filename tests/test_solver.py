@@ -315,24 +315,22 @@ def test_solve_empty_instance():
 
 
 def test_each_probe_is_one_closure_call(monkeypatch):
-    """Each solver probe is one call of the closure the solver imports, and
-    its answer from the base-fixpoint memo is a memo-free closure's, with
-    the same class partition when satisfiable."""
+    """Each solver probe is one call of the probe the solver imports (as
+    ``closure``), and its answer from the base-fixpoint memo is the plain
+    closure's, with the same class partition when satisfiable."""
     import ordhorn.solver as solver_module
-    from ordhorn.ohsat import closure
+    from ordhorn.ohsat import closure, probe
 
     calls = []
 
-    def checked(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo):
-        got = closure(n, pivots, pmasks, targets, eqs, les, lts, nes, by_pivot, memo=memo)
-        (x, z), = lts
-        order, j = eqs
+    def checked(n, memo, pmasks, targets, by_pivot, les, x, z, order, j):
+        got = probe(n, memo, pmasks, targets, by_pivot, les, x, z, order, j)
         pairs = [(x, v) for v in order[j:] if v != x and v != z]
-        plain = closure(n, pivots, pmasks, targets, pairs, les, lts, nes, by_pivot)
-        assert (got[0] is None) == (plain[0] is None)
+        level, _ = closure(n, pmasks, targets, pairs, les, [(x, z)], [], by_pivot)
+        assert (got[0] is None) == (level is None)
         if got[0] is not None:
-            assert memo_partition(memo, got[0]) == partition(plain[0])
-        calls.append(lts)
+            assert memo_partition(memo, got[0]) == partition(level)
+        calls.append((x, z))
         return got
 
     monkeypatch.setattr(solver_module, "closure", checked)

@@ -24,3 +24,24 @@ def test_public_names_resolve():
     namespace = {}
     exec("from ordhorn import *", namespace)
     assert set(ordhorn.__all__) <= set(namespace)
+
+
+def test_src_functions_read_every_parameter():
+    # a parameter that no body reads still has to be built and passed by
+    # every caller; a method's self or cls is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+            if id(node) in methods:
+                params = params[1:]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {p}" for p in params if p not in read]
+    assert not found, f"parameters that no body reads: {found}"
