@@ -41,7 +41,15 @@ fires the clauses pivoted in ``C`` (the bits of ``C & pivots``) whose
 partners lie in ``C`` (their targets form ``T``) and absorbs
 ``up(C) & down(C | T)`` until nothing changes; no other class can change,
 because every fired edge points into ``C``.  The probe is unsatisfiable
-iff ``up(z)`` meets ``C | T``.
+iff ``up(z)`` meets ``C | T``, that is iff z enters ``down(C | T)``.
+
+When z lies outside ``order[j:]``, z enters only that stop test, so the
+grown class is the same for every such z.  A probe of that kind that
+reaches its fixpoint stores it as ``memo["grown"][x, j] = (C, down(C | T),
+fired)``, and later probes of (x, j) with z outside the range answer from
+it: unsatisfiable iff z lies in the stored ``down(C | T)``, which only grows
+as the fixpoint runs.  Probes with z inside the range and refuted probes
+are not stored.
 
 The memo's owner keeps it as a dict and passes it, with the same
 ``order``, to every probe of one clause set.  It clears the memo whenever
@@ -49,7 +57,8 @@ the base fixpoint may move: when a unit clause is added (a new edge, or a
 retired slot) and when a new or shrunk partner set lies inside its pivot's
 base class (a clause that fires in the base).  Any other added clause is
 read live from ``pmasks``/``targets``/``by_pivot`` by later probes, once
-the owner ORs its pivot into ``memo["pivots"]``.
+the owner ORs its pivot into ``memo["pivots"]`` and empties
+``memo["grown"]``, whose stored classes the clause may fire in.
 """
 
 from __future__ import annotations
@@ -205,7 +214,11 @@ def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
     it returns (None, None, certificate, None).  The certificate lists the
     fired clauses' ("fire", i) events, then an "empty-clause" or
     "strict-cycle" event; when the base fixpoint itself is refuted, the memo
-    stays empty and the certificate is that fixpoint's.
+    stays empty and the certificate is that fixpoint's.  A probe answered
+    from ``memo["grown"]`` lists every clause fired up to the stored
+    fixpoint, which may be more than a probe stopped as soon as z entered
+    would list.  The ``fired`` list is shared with the memo, so callers
+    must not mutate it.
     """
     if not memo:
         events = []
@@ -217,12 +230,19 @@ def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
         memo.update(cls=cls, up=up, down=down,
                     pivots=sum(1 << p for p, ids in by_pivot.items() if ids),
                     table=_range_table(order, cls, up, down),
-                    at={v: i for i, v in enumerate(order)})
+                    at={v: i for i, v in enumerate(order)}, grown={})
     cls, up, down, piv, table = memo["cls"], memo["up"], memo["down"], memo["pivots"], memo["table"]
     iz = memo["at"].get(z, -1)
     if iz >= j:  # z splits the range
         packed = _range_or(table, j, iz) | _range_or(table, iz + 1, len(order))
     else:
+        # z enters only the stop test, so every such z shares one SAT fixpoint
+        hit = memo["grown"].get((x, j))
+        if hit:
+            c_mask, downc, fired = hit
+            if downc >> z & 1:
+                return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
+            return c_mask, None, None, fired
         packed = _range_or(table, j, len(order))
     full = (1 << n) - 1
     # the masks of C (x's grown class), up(C) and down(C | T)
@@ -245,6 +265,8 @@ def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
         # the classes above C and below C | T join it
         new = upc & downc & outside
         if not new:
+            if iz < j:
+                memo["grown"][x, j] = c_mask, downc, fired
             return c_mask, None, None, fired
         pending = [i for i in pending if pmasks[i] & outside]
         c_mask |= new

@@ -17,9 +17,11 @@ Each probe is one :func:`~ordhorn.ohsat.probe` call with the solver's
 memo of the clause set's base fixpoint, which the probe fills whenever it
 finds the memo empty; ``add_clause`` keeps the memo as the owner's duties
 in :mod:`ordhorn.ohsat` require.  A probe passes its upward set, a suffix
-of the universals in prefix order, as (universals, start index).  The
-solver imports ``probe`` as ``closure`` because the benchmark in
-``perfbench/`` traces the probe under that name.
+of the universals in prefix order, as (universals, start index).  Probes
+of one x and start index whose z lies outside that suffix share x's grown
+class, which the memo keeps until the next added clause.  The solver
+imports ``probe`` as ``closure`` because the benchmark in ``perfbench/``
+traces the probe under that name.
 
 The derivation log is the one record of derived clauses; events hold
 (pivot, partner mask, target) and build their ``OhClause`` on read.  Each
@@ -172,6 +174,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         if memo:
             if m & ~memo["cls"][p]:
                 memo["pivots"] |= 1 << p  # read live by later probes
+                memo["grown"].clear()  # the clause may fire in a stored class
             else:
                 memo.clear()  # the clause fires in the base fixpoint
         if slot is not None:

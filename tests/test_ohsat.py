@@ -387,11 +387,75 @@ def test_memo_probe_range_split():
         targets.append(t)
         by_pivot[p] = [new_id]
         memo["pivots"] |= 1 << p
+        memo["grown"].clear()
         live_fires += _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id)
     for where in ("z existential", "z before", "z first", "z middle", "z last",
                   "x inside", "x outside"):
         assert seen[where] > 100, (where, seen)
     assert live_fires > 100
+
+
+def _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, hits):
+    """Memo probes (x, z, j) with z outside order[j:], every such z of each
+    (x, j) in a shuffled order, against the plain closure; ``hits`` counts
+    the SAT and UNSAT answers whose (x, j) was in ``memo["grown"]``."""
+    from ordhorn.ohsat import closure, probe
+
+    at = {v: i for i, v in enumerate(order)}
+    for x in range(n):
+        for j in range(len(order) + 1):
+            zs = [z for z in range(n) if z != x and at.get(z, -1) < j]
+            rng.shuffle(zs)
+            for z in zs:
+                stored = (x, j) in memo.get("grown", ())
+                got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
+                args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
+                        by_pivot)
+                level, _ = closure(*args)
+                assert (got[0] is None) == (level is None), args
+                if got[0] is not None:
+                    assert memo_partition(memo, got[0]) == partition(level), args
+                if stored:
+                    hits["unsat" if got[0] is None else "sat"] += 1
+
+
+def test_memo_probe_shares_grown_class():
+    """A probe whose z lies outside order[j:] stores its SAT fixpoint under
+    (x, j) and answers every later such z from it.  Probes of chains 1..8
+    and seeded random instances agree with the plain closure, also after a
+    live clause that fires in a stored class, once the memo owner ORs its
+    pivot into ``memo["pivots"]`` and empties ``memo["grown"]``."""
+    from collections import Counter
+
+    rng = random.Random(1800)
+    instances = [parallel_chain(k) for k in range(1, 9)]
+    instances += [random_mplus_instance(rng, max_vars=8, max_clauses=8) for _ in range(150)]
+    hits, live = Counter(), Counter()
+    for inst in instances:
+        n = inst.n_vars
+        pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
+        memo = {}
+        _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, hits)
+        if not memo:
+            continue  # the base fixpoint refutes every probe
+        # a clause p != q | p >= t that fires in a stored class and puts a
+        # z outside its range below it
+        at, cls = {v: i for i, v in enumerate(order)}, memo["cls"]
+        fresh = [(p, 1 << q, t) for (_, j), (c, downc, _) in memo["grown"].items()
+                 for p in range(n) if c >> p & 1
+                 for q in range(n) if c >> q & 1 and not cls[p] >> q & 1
+                 for t in range(n) if t != p and at.get(t, -1) < j and not downc >> t & 1]
+        if not fresh:
+            continue
+        p, m, t = rng.choice(fresh)
+        by_pivot.setdefault(p, []).append(len(pmasks))
+        pmasks.append(m)
+        targets.append(t)
+        memo["pivots"] |= 1 << p
+        memo["grown"].clear()
+        _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, live)
+    for counts in (hits, live):
+        assert counts["sat"] > 100 and counts["unsat"] > 100, (hits, live)
 
 
 def test_memo_fill_fires_base_clauses():
