@@ -11,7 +11,7 @@ from functools import reduce
 from operator import or_
 from typing import Optional
 
-from .formula import Atom, QcspInstance, QfFormula, flip_order
+from .formula import Atom, QcspInstance, QfFormula, _ge_ne_product, flip_order
 from .game import brute_solve
 from .orders import (
     OP_KEYS,
@@ -245,8 +245,6 @@ def ppsynt_shape(f: QfFormula) -> bool:
 def oh_shape(f: QfFormula) -> bool:
     """Syntactic Ord-Horn shape: after rewriting into {!=, >=} clauses, each
     clause carries at most one order disjunct."""
-    from .formula import _ge_ne_product
-
     for clause in f.clauses:
         for lits in _ge_ne_product(clause):
             if len({(a, b) for kind, a, b in lits if kind == "ge" and a != b}) > 1:

@@ -25,23 +25,24 @@ once), and a clause left out of the index never fires.
 each variable's level in a model or a refutation certificate; :func:`oh_sat`
 is built on it.
 
-:func:`probe` answers the solver's question about one clause set, "x equal
-to a set U and x < z", from a *memo* of the set's base fixpoint: the mask
-fixpoint of its clauses and ``<=`` edges alone.  U is a suffix
-``order[j:]`` of one variable order (the solver's universals in prefix
-order) less x and z.  A probe that finds the memo empty fills it in one
-step: each variable's ``up``/``down`` and base class ``cls = up & down``,
-``pivots``, the mask of the variables with indexed clauses, a sparse table
-of ORs (Bender and Farach-Colton, LATIN 2000, with OR in place of min) of
-the packed masks ``cls | up << n | down << 2n`` over ``order``, and each
-variable's position in ``order``.  A probe's start
+A :class:`ClauseSet` holds the clause set the solver grows: the arrays and
+``by_pivot`` of :func:`closure`, the unit clauses as ``<=`` edges, a mask
+of the pivots of its clauses, one variable order (the solver's
+universals in prefix order) and a *memo* of the set's base fixpoint, the
+mask fixpoint of its clauses and edges alone.  :func:`probe` answers the
+solver's question "x equal to a set U and x < z", U being a suffix
+``order[j:]`` less x and z.  A probe that finds the memo empty fills it in
+one step: each variable's ``up``/``down`` and base class
+``cls = up & down``, and a sparse table of ORs (Bender and Farach-Colton,
+LATIN 2000, with OR in place of min) of the packed masks
+``cls | up << n | down << 2n`` over ``order``.  A probe's start
 ``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, is then at
 most two range queries, split at z when z lies in the range.  A probe
-fires the clauses pivoted in ``C`` (the bits of ``C & pivots``) whose
-partners lie in ``C`` (their targets form ``T``) and absorbs
-``up(C) & down(C | T)`` until nothing changes; no other class can change,
-because every fired edge points into ``C``.  The probe is unsatisfiable
-iff ``up(z)`` meets ``C | T``, that is iff z enters ``down(C | T)``.
+fires the clauses pivoted in ``C`` whose partners lie in ``C`` (their
+targets form ``T``) and absorbs ``up(C) & down(C | T)`` until nothing
+changes; no other class can change, because every fired edge points into
+``C``.  The probe is unsatisfiable iff ``up(z)`` meets ``C | T``, that is
+iff z enters ``down(C | T)``.
 
 When z lies outside ``order[j:]``, z enters only that stop test, so the
 grown class is the same for every such z.  A probe of that kind that
@@ -51,14 +52,11 @@ it: unsatisfiable iff z lies in the stored ``down(C | T)``, which only grows
 as the fixpoint runs.  Probes with z inside the range and refuted probes
 are not stored.
 
-The memo's owner keeps it as a dict and passes it, with the same
-``order``, to every probe of one clause set.  It clears the memo whenever
-the base fixpoint may move: when a unit clause is added (a new edge, or a
-retired slot) and when a new or shrunk partner set lies inside its pivot's
-base class (a clause that fires in the base).  Any other added clause is
-read live from ``pmasks``/``targets``/``by_pivot`` by later probes, once
-the owner ORs its pivot into ``memo["pivots"]`` and empties
-``memo["grown"]``, whose stored classes the clause may fire in.
+:meth:`ClauseSet.add` keeps the memo valid.  It clears the memo whenever
+the base fixpoint may move: on a unit clause (a new edge, or a retired
+slot) and on a new or shrunk partner set inside its pivot's base class (a
+clause that fires in the base).  Any other clause is read live from the
+arrays, so ``add`` only empties ``memo["grown"]``, where it may fire.
 """
 
 from __future__ import annotations
@@ -204,10 +202,55 @@ def _range_or(table, lo, hi):
     return row[lo] | row[hi - (1 << k)]
 
 
-def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
-    """Decide x = ``order[j:]`` (less x and z) and x < z over the clauses of
-    :func:`closure` and the ``<=`` edges, from the base fixpoint in ``memo``
-    (see the module docstring), filling an empty memo first.
+class ClauseSet:
+    """A clause set grown by :meth:`add`, with its order and memo.  The derived
+    clauses of a (pivot, target) pair share one slot, holding the smallest
+    partner set (it entails larger ones) until a unit on the pair retires it."""
+
+    def __init__(self, n, order):
+        self.n, self.order = n, order
+        self.at = {v: i for i, v in enumerate(order)}
+        self.pmasks, self.targets, self.by_pivot, self.slots = [], [], {}, {}
+        self.edges, self.units = [], set()  # each unit as (target, pivot) and (pivot, target)
+        self.pivots = 0  # the mask of the pivots that have had an indexed clause
+        self.memo = {}
+
+    def add(self, p, m, t, derived=False):
+        """Add the clause with pivot p, partner mask m and target t (-1: none)."""
+        memo = self.memo
+        if not m:
+            memo.clear()
+            self.edges.append((t, p))
+            self.units.add((p, t))
+            slot = self.slots.pop((p, t), None)
+            if slot is not None:  # entailed by the unit from now on
+                self.by_pivot[p].remove(slot)
+            return
+        if derived and (p, t) in self.units:
+            return  # the unit already subsumes it
+        slot = self.slots.get((p, t))
+        if memo:
+            if m & ~memo["cls"][p]:
+                memo["grown"].clear()  # the clause may fire in a stored class
+            else:
+                memo.clear()  # the clause fires in the base fixpoint
+        if slot is not None:
+            if m & ~self.pmasks[slot]:
+                raise RuntimeError("derived partner sets must shrink")
+            self.pmasks[slot] = m
+            return
+        self.pivots |= 1 << p
+        self.by_pivot.setdefault(p, []).append(len(self.pmasks))
+        if derived:
+            self.slots[p, t] = len(self.pmasks)
+        self.pmasks.append(m)
+        self.targets.append(t)
+
+
+def probe(cs, x, z, j):
+    """Decide x = ``cs.order[j:]`` (less x and z) and x < z over the clause
+    set ``cs``, from its base-fixpoint memo (see the module docstring),
+    filling an empty memo first.
 
     Returns (c_mask, None, None, fired) on success: the bit mask of x's
     grown class and the ids of the clauses that fire in it.  On refutation
@@ -220,19 +263,18 @@ def probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j):
     would list.  The ``fired`` list is shared with the memo, so callers
     must not mutate it.
     """
+    n, order, memo = cs.n, cs.order, cs.memo
+    pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
     if not memo:
         events = []
-        masks = _fixpoint(n, pmasks, targets, edges, by_pivot, events)
+        masks = _fixpoint(n, pmasks, targets, cs.edges, by_pivot, events)
         if masks is None:
             return None, None, events, None  # every probe of this clause set is refuted
         up, down = masks
         cls = [u & d for u, d in zip(up, down)]
-        memo.update(cls=cls, up=up, down=down,
-                    pivots=sum(1 << p for p, ids in by_pivot.items() if ids),
-                    table=_range_table(order, cls, up, down),
-                    at={v: i for i, v in enumerate(order)}, grown={})
-    cls, up, down, piv, table = memo["cls"], memo["up"], memo["down"], memo["pivots"], memo["table"]
-    iz = memo["at"].get(z, -1)
+        memo.update(cls=cls, up=up, down=down, table=_range_table(order, cls, up, down), grown={})
+    cls, up, down, table, piv = memo["cls"], memo["up"], memo["down"], memo["table"], cs.pivots
+    iz = cs.at.get(z, -1)
     if iz >= j:  # z splits the range
         packed = _range_or(table, j, iz) | _range_or(table, iz + 1, len(order))
     else:

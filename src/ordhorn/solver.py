@@ -13,15 +13,11 @@ equality set shrinks (binary search over the upward sets per pair), and
 unsatisfiability persists as the clause set grows (known-unsatisfiable
 prefixes are not re-probed across passes).
 
-Each probe is one :func:`~ordhorn.ohsat.probe` call with the solver's
-memo of the clause set's base fixpoint, which the probe fills whenever it
-finds the memo empty; ``add_clause`` keeps the memo as the owner's duties
-in :mod:`ordhorn.ohsat` require.  A probe passes its upward set, a suffix
-of the universals in prefix order, as (universals, start index).  Probes
-of one x and start index whose z lies outside that suffix share x's grown
-class, which the memo keeps until the next added clause.  The solver
-imports ``probe`` as ``closure`` because the benchmark in ``perfbench/``
-traces the probe under that name.
+Each probe is one :func:`~ordhorn.ohsat.probe` call on the solver's
+:class:`~ordhorn.ohsat.ClauseSet`, with its upward set passed as a start
+index into the universals in prefix order.  The solver imports ``probe``
+as ``closure`` because the benchmark in ``perfbench/`` traces the probe
+under that name.
 
 The derivation log is the one record of derived clauses; events hold
 (pivot, partner mask, target) and build their ``OhClause`` on read.  Each
@@ -37,7 +33,7 @@ from functools import cached_property
 from typing import Optional
 
 from .formula import OhClause, QcspInstance, ResourceLimitError, normalize
-from .ohsat import _bits
+from .ohsat import ClauseSet, _bits
 from .ohsat import probe as closure  # the benchmark traces ordhorn.solver.closure
 
 
@@ -150,49 +146,12 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     univ = [v for v in range(n) if quants[v] == "A"]
     starts = [len(univ) - mask.bit_count() for _, mask in G]
 
-    units = set()  # (pivot, target) of every unit clause, input or derived
-    # the oracle sees units as unconditional edges and, per (pivot, target)
-    # pair, only the smallest derived partner set (it entails larger ones)
-    pmasks, targets = [], []
-    by_pivot = {}
-    edge_list = []
-    pair_slot = {}
-    memo = {}  # the base fixpoint of the current clause set, see ohsat
-
-    def add_clause(p: int, m: int, t: int, derived_pair=False):
-        """Hand a new clause (pivot p, partner mask m, target t) to the oracle."""
-        slot = pair_slot.get((p, t))
-        if not m:
-            memo.clear()
-            edge_list.append((t, p))
-            units.add((p, t))
-            if slot is not None:  # entailed by the unit from now on
-                by_pivot[p].remove(slot)
-            return
-        if derived_pair and (p, t) in units:
-            return  # the unit already subsumes it
-        if memo:
-            if m & ~memo["cls"][p]:
-                memo["pivots"] |= 1 << p  # read live by later probes
-                memo["grown"].clear()  # the clause may fire in a stored class
-            else:
-                memo.clear()  # the clause fires in the base fixpoint
-        if slot is not None:
-            if m & ~pmasks[slot]:
-                raise RuntimeError("derived partner sets must shrink")
-            pmasks[slot] = m
-            return
-        idx = len(pmasks)
-        pmasks.append(m)
-        targets.append(t)
-        by_pivot.setdefault(p, []).append(idx)
-        if derived_pair:
-            pair_slot[(p, t)] = idx
-
+    clauses = ClauseSet(n, univ)
+    units = clauses.units
     # the distinct matrix clauses as (pivot, partner mask, target), in order
     inputs = dict.fromkeys((c.pivot, sum(1 << q for q in c.partners), c.target) for c in inst.matrix)
     for clause in inputs:
-        add_clause(*clause)
+        clauses.add(*clause)
 
     n_derived = 0
     log = []
@@ -208,7 +167,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         oracle_calls += 1
         if oracle_calls > max_probes:
             raise ResourceLimitError(f"solve exceeded {max_probes} probes")
-        return closure(n, memo, pmasks, targets, by_pivot, edge_list, x, z, univ, starts[g])[0] is None
+        return closure(clauses, x, z, starts[g])[0] is None
 
     def verdict(pair=None):
         """True, or false with the unit clause that rejects the pair."""
@@ -256,7 +215,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
                         prev = m
                         log.append(DerivationEvent(pass_no, x, z, u, m, not fresh))
                         if fresh:
-                            add_clause(x, m, z, derived_pair=True)
+                            clauses.add(x, m, z, derived=True)
                             n_derived += 1
                             changed = True
                             if n_derived > n * n * (n + 1):

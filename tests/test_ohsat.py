@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from ordhorn.formula import Atom, OhClause
 from ordhorn.generators import parallel_chain, random_mplus_instance, random_oh_conjunction
 from ordhorn.ohsat import OhConjunction, entails, oh_sat
@@ -257,69 +259,97 @@ def _plain_eqs(x, z, order, j):
     return [(x, v) for v in order[j:] if v != x and v != z]
 
 
+def _random_clause_set(rng, n, order):
+    """A ClauseSet over ``order`` of random clauses (as in
+    ``_random_closure_input``) and edges, with retired entries made the way
+    the solver makes them: a derived clause, then a unit on its pair."""
+    from ordhorn.ohsat import ClauseSet
+
+    cs = ClauseSet(n, order)
+    for _ in range(rng.randint(0, 4)):
+        pivot = rng.randrange(n)
+        others = [v for v in range(n) if v != pivot]
+        rng.shuffle(others)
+        m = sum(1 << p for p in others[: rng.randint(1, min(2, len(others)))])
+        target = rng.choice([-2, -1] + list(range(n)))
+        if target == -2:
+            target = rng.choice(others)
+            cs.add(pivot, m, target, derived=True)
+            cs.add(pivot, 0, target)
+        else:
+            cs.add(pivot, m, target)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        cs.add(b, 0, a)  # the edge a <= b
+    return cs
+
+
+def _plain_closure(cs, x, z, j):
+    """The plain closure of a memo probe's conjunction over ``cs``."""
+    from ordhorn.ohsat import closure
+
+    return closure(cs.n, cs.pmasks, cs.targets, _plain_eqs(x, z, cs.order, j), cs.edges,
+                   [(x, z)], [], cs.by_pivot)
+
+
 def test_memo_probe_matches_plain_closure():
     """Probes answered from a base-fixpoint memo (x equated to a suffix of a
     variable order, one strict atom x < z) against the plain closure of the
     same conjunction: same answer and, when satisfiable, the same class
     partition.  Two probes share each fresh memo.  A probe whose base
     fixpoint is refuted leaves the memo empty and ends its certificate with
-    the clause that emptied it."""
-    from ordhorn.ohsat import closure, probe
+    the clause that emptied it.  More than 100 entries are retired."""
+    from ordhorn.ohsat import probe
 
     rng = random.Random(909)
-    unsat = base_refuted = 0
+    unsat = base_refuted = retired = 0
     for _ in range(750):
         n = rng.randint(2, 6)
-        pmasks, targets, by_pivot, _, edges = _random_closure_input(rng, n)
-        memo = {}
-        order = rng.sample(range(n), rng.randint(0, n))
+        cs = _random_clause_set(rng, n, rng.sample(range(n), rng.randint(0, n)))
+        retired += len(cs.pmasks) - sum(map(len, cs.by_pivot.values()))
         for _ in range(2):
             x, z = rng.sample(range(n), 2)
-            j = rng.randint(0, len(order))
-            was_empty = not memo
-            got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
-            args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [], by_pivot)
-            level, _ = closure(*args)
-            assert (got[0] is None) == (level is None), args
+            j = rng.randint(0, len(cs.order))
+            was_empty = not cs.memo
+            got = probe(cs, x, z, j)
+            level, _ = _plain_closure(cs, x, z, j)
+            assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
             if got[0] is None:
                 unsat += 1
                 assert got[2]
             else:
-                assert memo_partition(memo, got[0]) == partition(level), args
-            if was_empty and not memo:
+                assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
+            if was_empty and not cs.memo:
                 base_refuted += 1
-                assert got[2][-1][0] == "empty-clause", args
+                assert got[2][-1][0] == "empty-clause", (cs.__dict__, x, z, j)
     assert unsat > 100
     assert base_refuted > 10
+    assert retired > 100
 
 
 def _range_probe_cases(inst):
-    """An M+ instance as the solver hands it to the oracle: clause arrays,
-    by_pivot, unit edges and the universals in prefix order."""
-    pmasks, targets, by_pivot, edges = [], [], {}, []
+    """An M+ instance as the solver hands it to the oracle: a ClauseSet of
+    its clauses over the universals in prefix order."""
+    from ordhorn.ohsat import ClauseSet
+
+    cs = ClauseSet(inst.n_vars, [v for v in range(inst.n_vars) if inst.quants[v] == "A"])
     for c in inst.matrix:
-        if c.partners:
-            by_pivot.setdefault(c.pivot, []).append(len(pmasks))
-            pmasks.append(sum(1 << p for p in c.partners))
-            targets.append(c.target)
-        else:
-            edges.append((c.target, c.pivot))
-    order = [v for v in range(inst.n_vars) if inst.quants[v] == "A"]
-    return pmasks, targets, by_pivot, edges, order
+        cs.add(c.pivot, sum(1 << p for p in c.partners), c.target)
+    return cs
 
 
-def _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id=None):
-    """Memo probes (x, z, j) of this clause set against the plain closure,
-    for every pair and each suffix start j that puts x or z at an end of
-    order[j:] or just before it; ``seen`` counts where z and x sit relative
-    to order[j:].  Returns how many probes fired clause ``new_id``."""
-    from ordhorn.ohsat import closure, probe
+def _sweep(cs, seen, new_id=None):
+    """Memo probes (x, z, j) of the clause set ``cs`` against the plain
+    closure, for every pair and each suffix start j that puts x or z at an
+    end of order[j:] or just before it; ``seen`` counts where z and x sit
+    relative to order[j:].  Returns how many probes fired clause ``new_id``."""
+    from ordhorn.ohsat import probe
 
     fired_new = 0
-    m = len(order)
-    at = {v: i for i, v in enumerate(order)}
-    for x in range(n):
-        for z in range(n):
+    m = len(cs.order)
+    at = cs.at
+    for x in range(cs.n):
+        for z in range(cs.n):
             if x == z:
                 continue
             ends = {0, m, m - 1}
@@ -327,15 +357,13 @@ def _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id=None):
                 if v in at:
                     ends |= {at[v], at[v] + 1}
             for j in sorted(e for e in ends if 0 <= e <= m):
-                got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
-                args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
-                        by_pivot)
-                level, _ = closure(*args)
-                assert (got[0] is None) == (level is None), args
+                got = probe(cs, x, z, j)
+                level, _ = _plain_closure(cs, x, z, j)
+                assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
                 if got[0] is None:
                     fired = {e[1] for e in got[2] if e[0] == "fire"}
                 else:
-                    assert memo_partition(memo, got[0]) == partition(level), args
+                    assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
                     fired = set(got[3])
                 fired_new += new_id in fired
                 iz = at.get(z, -1)
@@ -358,9 +386,8 @@ def test_memo_probe_range_split():
     """The memo probe starts from range ORs over the universals, split at z
     when z lies in the range.  Probes of every pair of chains 1..8 and of
     seeded random instances, at the suffix starts ``_sweep`` picks, agree
-    with the plain closure, also after a
-    live clause with a new pivot, which the memo owner ORs into
-    ``memo["pivots"]`` without clearing the memo."""
+    with the plain closure, also after ``ClauseSet.add`` takes a live clause
+    with a new pivot, which keeps the memo."""
     from collections import Counter
 
     rng = random.Random(1600)
@@ -370,51 +397,46 @@ def test_memo_probe_range_split():
     live_fires = 0
     for inst in instances:
         n = inst.n_vars
-        pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
-        memo = {}
-        _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen)
-        if not memo:
+        cs = _range_probe_cases(inst)
+        _sweep(cs, seen)
+        if not cs.memo:
             continue  # the base fixpoint refutes every probe
         # a clause on a new pivot that cannot fire in the base fixpoint
-        fresh = [(p, m, t) for p in range(n) if p not in by_pivot
+        fresh = [(p, m, t) for p in range(n) if p not in cs.by_pivot
                  for m in (1 << q for q in range(n) if q != p)
-                 for t in range(n) if t != p and m & ~memo["cls"][p]]
+                 for t in range(n) if t != p and m & ~cs.memo["cls"][p]]
         if not fresh:
             continue
         p, m, t = rng.choice(fresh)
-        new_id = len(pmasks)
-        pmasks.append(m)
-        targets.append(t)
-        by_pivot[p] = [new_id]
-        memo["pivots"] |= 1 << p
-        memo["grown"].clear()
-        live_fires += _sweep(n, pmasks, targets, by_pivot, edges, order, memo, seen, new_id)
+        new_id = len(cs.pmasks)
+        cs.add(p, m, t)
+        assert cs.memo, "a clause that cannot fire in the base keeps the memo"
+        live_fires += _sweep(cs, seen, new_id)
     for where in ("z existential", "z before", "z first", "z middle", "z last",
                   "x inside", "x outside"):
         assert seen[where] > 100, (where, seen)
     assert live_fires > 100
 
 
-def _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, hits):
-    """Memo probes (x, z, j) with z outside order[j:], every such z of each
-    (x, j) in a shuffled order, against the plain closure; ``hits`` counts
-    the SAT and UNSAT answers whose (x, j) was in ``memo["grown"]``."""
-    from ordhorn.ohsat import closure, probe
+def _shared_sweep(cs, rng, hits):
+    """Memo probes (x, z, j) of ``cs`` with z outside order[j:], every such
+    z of each (x, j) in a shuffled order, against the plain closure;
+    ``hits`` counts the SAT and UNSAT answers whose (x, j) was in
+    ``memo["grown"]``."""
+    from ordhorn.ohsat import probe
 
-    at = {v: i for i, v in enumerate(order)}
-    for x in range(n):
-        for j in range(len(order) + 1):
-            zs = [z for z in range(n) if z != x and at.get(z, -1) < j]
+    at = cs.at
+    for x in range(cs.n):
+        for j in range(len(cs.order) + 1):
+            zs = [z for z in range(cs.n) if z != x and at.get(z, -1) < j]
             rng.shuffle(zs)
             for z in zs:
-                stored = (x, j) in memo.get("grown", ())
-                got = probe(n, memo, pmasks, targets, by_pivot, edges, x, z, order, j)
-                args = (n, pmasks, targets, _plain_eqs(x, z, order, j), edges, [(x, z)], [],
-                        by_pivot)
-                level, _ = closure(*args)
-                assert (got[0] is None) == (level is None), args
+                stored = (x, j) in cs.memo.get("grown", ())
+                got = probe(cs, x, z, j)
+                level, _ = _plain_closure(cs, x, z, j)
+                assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
                 if got[0] is not None:
-                    assert memo_partition(memo, got[0]) == partition(level), args
+                    assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
                 if stored:
                     hits["unsat" if got[0] is None else "sat"] += 1
 
@@ -422,9 +444,8 @@ def _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, hits):
 def test_memo_probe_shares_grown_class():
     """A probe whose z lies outside order[j:] stores its SAT fixpoint under
     (x, j) and answers every later such z from it.  Probes of chains 1..8
-    and seeded random instances agree with the plain closure, also after a
-    live clause that fires in a stored class, once the memo owner ORs its
-    pivot into ``memo["pivots"]`` and empties ``memo["grown"]``."""
+    and seeded random instances agree with the plain closure, also after
+    ``ClauseSet.add`` takes a live clause that fires in a stored class."""
     from collections import Counter
 
     rng = random.Random(1800)
@@ -433,27 +454,22 @@ def test_memo_probe_shares_grown_class():
     hits, live = Counter(), Counter()
     for inst in instances:
         n = inst.n_vars
-        pmasks, targets, by_pivot, edges, order = _range_probe_cases(inst)
-        memo = {}
-        _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, hits)
-        if not memo:
+        cs = _range_probe_cases(inst)
+        _shared_sweep(cs, rng, hits)
+        if not cs.memo:
             continue  # the base fixpoint refutes every probe
         # a clause p != q | p >= t that fires in a stored class and puts a
         # z outside its range below it
-        at, cls = {v: i for i, v in enumerate(order)}, memo["cls"]
-        fresh = [(p, 1 << q, t) for (_, j), (c, downc, _) in memo["grown"].items()
+        at, cls = cs.at, cs.memo["cls"]
+        fresh = [(p, 1 << q, t) for (_, j), (c, downc, _) in cs.memo["grown"].items()
                  for p in range(n) if c >> p & 1
                  for q in range(n) if c >> q & 1 and not cls[p] >> q & 1
                  for t in range(n) if t != p and at.get(t, -1) < j and not downc >> t & 1]
         if not fresh:
             continue
-        p, m, t = rng.choice(fresh)
-        by_pivot.setdefault(p, []).append(len(pmasks))
-        pmasks.append(m)
-        targets.append(t)
-        memo["pivots"] |= 1 << p
-        memo["grown"].clear()
-        _shared_sweep(n, pmasks, targets, by_pivot, edges, order, memo, rng, live)
+        cs.add(*rng.choice(fresh))
+        assert cs.memo, "a clause that cannot fire in the base keeps the memo"
+        _shared_sweep(cs, rng, live)
     for counts in (hits, live):
         assert counts["sat"] > 100 and counts["unsat"] > 100, (hits, live)
 
@@ -462,11 +478,54 @@ def test_memo_fill_fires_base_clauses():
     """A clause that fires in the base fixpoint is part of the memo: the
     clause 2 != 3 | 2 >= 1 fires once the units make 2 and 3 one class,
     and with 2 <= 0 it puts 1 below 0, so the probe 0 < 1 is refuted."""
-    from ordhorn.ohsat import closure, probe
+    from ordhorn.ohsat import ClauseSet, probe
 
-    pmasks, targets, by_pivot = [1 << 3], [1], {2: [0]}
-    les = [(2, 3), (3, 2), (2, 0)]
-    assert closure(4, pmasks, targets, [], les, [(0, 1)], [], by_pivot)[0] is None
-    memo = {}
-    assert probe(4, memo, pmasks, targets, by_pivot, les, 0, 1, [], 0)[0] is None
-    assert memo, "the base fixpoint is satisfiable, so the probe fills the memo"
+    cs = ClauseSet(4, [])
+    for clause in ((2, 1 << 3, 1), (3, 0, 2), (2, 0, 3), (0, 0, 2)):
+        cs.add(*clause)
+    assert cs.edges == [(2, 3), (3, 2), (2, 0)]
+    assert _plain_closure(cs, 0, 1, 0)[0] is None
+    assert probe(cs, 0, 1, 0)[0] is None
+    assert cs.memo, "the base fixpoint is satisfiable, so the probe fills the memo"
+
+
+def test_clause_set_add_subsumption():
+    """``ClauseSet.add`` on (pivot, target) pairs: a unit adds its edge and
+    retires its pair's derived slot, a later derived clause on a unit's pair
+    is dropped, a smaller derived partner set replaces its pair's slot in
+    place, and a larger one is an error."""
+    from ordhorn.ohsat import ClauseSet
+
+    cs = ClauseSet(6, [])
+    cs.add(0, 1 << 1, 2, derived=True)
+    cs.add(0, 1 << 3, 4, derived=True)
+    cs.add(0, 0, 2)
+    assert cs.edges == [(2, 0)] and cs.units == {(0, 2)}
+    assert cs.by_pivot == {0: [1]}, "the unit retires slot 0"
+    cs.add(0, 1 << 5, 2, derived=True)
+    assert len(cs.pmasks) == 2 and cs.by_pivot == {0: [1]}, "the unit subsumes it"
+    cs.add(1, 0b111000, 3, derived=True)
+    cs.add(1, 0b101000, 3, derived=True)
+    assert cs.pmasks == [1 << 1, 1 << 3, 0b101000] and cs.by_pivot[1] == [2]
+    with pytest.raises(RuntimeError, match="derived partner sets must shrink"):
+        cs.add(1, 0b100100, 3, derived=True)
+
+
+def test_clause_set_add_keeps_memo_valid():
+    """A clause that fires in its pivot's base class clears the memo; any
+    other clause keeps it and empties ``memo["grown"]``; a unit clears it."""
+    from ordhorn.ohsat import ClauseSet, probe
+
+    cs = ClauseSet(4, [3])
+    cs.add(0, 0, 1)
+    cs.add(1, 0, 0)  # 0 and 1 share a base class
+    assert probe(cs, 0, 2, 1)[0] is not None and cs.memo["grown"]
+    cs.add(2, 1 << 3, 0)
+    assert cs.memo and not cs.memo["grown"]
+    assert probe(cs, 0, 2, 1)[0] is not None and cs.memo["grown"]
+    cs.add(0, 1 << 1, 2)
+    assert not cs.memo
+    assert probe(cs, 0, 2, 1)[0] is None  # 0 != 1 | 0 >= 2 fired in the base
+    assert probe(cs, 2, 3, 1)[0] is not None and cs.memo
+    cs.add(3, 0, 2)
+    assert not cs.memo

@@ -323,13 +323,13 @@ def test_each_probe_is_one_closure_call(monkeypatch):
 
     calls = []
 
-    def checked(n, memo, pmasks, targets, by_pivot, les, x, z, order, j):
-        got = probe(n, memo, pmasks, targets, by_pivot, les, x, z, order, j)
-        pairs = [(x, v) for v in order[j:] if v != x and v != z]
-        level, _ = closure(n, pmasks, targets, pairs, les, [(x, z)], [], by_pivot)
+    def checked(cs, x, z, j):
+        got = probe(cs, x, z, j)
+        pairs = [(x, v) for v in cs.order[j:] if v != x and v != z]
+        level, _ = closure(cs.n, cs.pmasks, cs.targets, pairs, cs.edges, [(x, z)], [], cs.by_pivot)
         assert (got[0] is None) == (level is None)
         if got[0] is not None:
-            assert memo_partition(memo, got[0]) == partition(level)
+            assert memo_partition(cs.memo, got[0]) == partition(level)
         calls.append((x, z))
         return got
 

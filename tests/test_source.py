@@ -45,3 +45,22 @@ def test_src_functions_read_every_parameter():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += [f"{path.name}:{node.lineno} {p}" for p in params if p not in read]
     assert not found, f"parameters that no body reads: {found}"
+
+
+def test_only_ohsat_touches_the_probe_memo():
+    # the probe memo's format and validity rule live in ohsat.ClauseSet and
+    # ohsat.probe; a string-keyed memo["..."] subscript or a .memo attribute
+    # anywhere else would be a second copy of them (the keyed memo[key]
+    # caches of game and classifier are not caught)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ohsat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "memo":
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id == "memo" and isinstance(node.slice, ast.Constant)
+                  and isinstance(node.slice.value, str)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"probe memo used outside ohsat: {found}"
