@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator, List
 
-from .formula import OhClause, QcspInstance
+from .formula import Atom, OhClause, QcspInstance
 
 
 def parallel_chain(n: int) -> QcspInstance:
@@ -118,8 +118,6 @@ def exhaustive_mplus_instances(max_vars: int = 4, max_clauses: int = 3) -> Itera
 def random_oh_conjunction(rng: random.Random, n: int, max_clauses: int = 4, max_atoms: int = 4):
     """A random conjunction of pivoted clauses and order atoms, for
     cross-checking the satisfiability oracle."""
-    from .formula import Atom
-
     clauses = []
     for _ in range(rng.randint(0, max_clauses)):
         pivot = rng.randrange(n)

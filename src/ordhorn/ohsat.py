@@ -15,21 +15,22 @@ it, so numbering the classes by that count gives distinct classes distinct
 values in a topological order, which satisfies every clause that never
 fired.  A SAT model is any such witnessing order.
 
-There is one closure engine behind two entry points.  It indexes clauses
-by pivot and re-examines a clause only when its pivot's class grows, so a
-clause with no partner besides its pivot would never be examined: callers
-pass such clauses as plain edges (or, without an order disjunct, refute at
-once), and a clause left out of the index never fires.
+There is one closure engine behind two entry points, and one clause index
+feeds both: a :class:`ClauseSet`, built only by :meth:`ClauseSet.add`.  It
+indexes each clause (partner mask ``pmasks[i]``, target ``targets[i]``,
+-1 for none) under its pivot in ``by_pivot``, and the engine re-examines a
+clause only when its pivot's class grows.  So a partner-free clause is kept
+as a plain ``<=`` edge (callers refute one without an order disjunct at
+once), and a clause left out of ``by_pivot`` never fires.
 
-:func:`closure` decides one conjunction of clauses and atoms, returning
-each variable's level in a model or a refutation certificate; :func:`oh_sat`
-is built on it.
+:func:`closure` decides a clause set with extra atoms, returning each
+variable's level in a model or a refutation certificate; :func:`oh_sat`
+builds the set of a conjunction and calls it.
 
-A :class:`ClauseSet` holds the clause set the solver grows: the arrays and
-``by_pivot`` of :func:`closure`, the unit clauses as ``<=`` edges, a mask
-of the pivots of its clauses, one variable order (the solver's
-universals in prefix order) and a *memo* of the set's base fixpoint, the
-mask fixpoint of its clauses and edges alone.  :func:`probe` answers the
+The solver grows one :class:`ClauseSet`, which also keeps a mask of the
+pivots of its clauses, one variable order (the solver's universals in
+prefix order) and a *memo* of the set's base fixpoint, the mask fixpoint of
+its clauses and edges alone.  :func:`probe` answers the
 solver's question "x equal to a set U and x < z", U being a suffix
 ``order[j:]`` less x and z.  A probe that finds the memo empty fills it in
 one step: each variable's ``up``/``down`` and base class
@@ -111,11 +112,12 @@ def _bits(mask):
         mask ^= bit
 
 
-def _fixpoint(n, pmasks, targets, edges, by_pivot, events):
-    """Close the edges (a, b), each a <= b, under transitivity and clause
-    firing.  Returns the order masks (up, down), or None once a clause
-    without an order disjunct fires."""
-    up = [1 << v for v in range(n)]
+def _fixpoint(cs, edges, events):
+    """Close the edges (a, b), each a <= b, under transitivity and the firing
+    of the clauses indexed in ``cs``.  Returns the order masks (up, down), or
+    None once a clause without an order disjunct fires."""
+    pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
+    up = [1 << v for v in range(cs.n)]
     down = up[:]
     fired = set()
     work = list(edges)
@@ -144,27 +146,21 @@ def _fixpoint(n, pmasks, targets, edges, by_pivot, events):
     return up, down
 
 
-def closure(n, pmasks, targets, eqs, les, lts, nes, by_pivot):
-    """Order-mask closure over the clauses i (partner mask ``pmasks[i]``,
-    target ``targets[i]``) indexed in ``by_pivot`` and the atoms x = y
-    (eqs), x <= y (les), x < y (lts) and x != y (nes).
+def closure(cs, eqs, lts, nes):
+    """Order-mask closure over the clause set ``cs`` (its indexed clauses and
+    its unit edges) and the atoms x = y (eqs), x < y (lts) and x != y (nes).
 
-    A target of -1 means the clause has no order disjunct.  ``by_pivot``
-    maps each pivot variable to its clause ids, and a clause is checked
-    only when its pivot's class grows, so a slot left out of ``by_pivot``
-    never fires.  Every indexed clause must have a partner besides its pivot
-    (partner-free clauses are passed as ``les`` edges (target, pivot)).
     Returns (level, None) on success, level[v] being v's level in a model:
     variables share a level iff they share a class, and distinct classes
     get distinct levels 0, 1, ... in a topological order.  On refutation it
     returns (None, certificate), the event sequence: ("merge", a, b) for
-    each edge a <= b that closed a cycle, ("fire", i) for each fired clause,
-    then one of ("empty-clause", i), ("strict-cycle", a, b) or
+    each edge a <= b that closed a cycle, ("fire", i) for each fired clause
+    id of ``cs``, then one of ("empty-clause", i), ("strict-cycle", a, b) or
     ("forced-equal", a, b).
     """
     events = []
     edges = [e for a, b in eqs for e in ((a, b), (b, a))]
-    masks = _fixpoint(n, pmasks, targets, [*edges, *les, *lts], by_pivot, events)
+    masks = _fixpoint(cs, [*edges, *cs.edges, *lts], events)
     if masks is None:
         return None, events
     up, down = masks
@@ -267,7 +263,7 @@ def probe(cs, x, z, j):
     pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
     if not memo:
         events = []
-        masks = _fixpoint(n, pmasks, targets, cs.edges, by_pivot, events)
+        masks = _fixpoint(cs, cs.edges, events)
         if masks is None:
             return None, None, events, None  # every probe of this clause set is refuted
         up, down = masks
@@ -321,24 +317,18 @@ def probe(cs, x, z, j):
 def oh_sat(conj: OhConjunction):
     """Decide a conjunction; SAT answers carry a witnessing weak order."""
     eqs, les, lts, nes = _normalize_atoms(conj.atoms)
-    pmasks, targets = [], []
-    by_pivot = {}
+    cs = ClauseSet(conj.n_vars, ())
+    for a, b in les:
+        cs.add(b, 0, a)  # the edge a <= b
     for i, c in enumerate(conj.clauses):
-        m = 0
-        for p in c.partners:
-            m |= 1 << p
-        target = c.target if c.target is not None else -1
-        if m:
-            by_pivot.setdefault(c.pivot, []).append(i)
-        elif target < 0:
+        if not c.partners and c.target is None:
             return UnsatResult([("fire", i), ("empty-clause", i)])
-        else:
-            les.append((target, c.pivot))
-        pmasks.append(m)
-        targets.append(target)
-    level, cert = closure(conj.n_vars, pmasks, targets, eqs, les, lts, nes, by_pivot)
+        cs.add(c.pivot, sum(1 << p for p in c.partners), -1 if c.target is None else c.target)
+    ids = [i for i, c in enumerate(conj.clauses) if c.partners]  # cs's clause ids in conj.clauses
+    level, cert = closure(cs, eqs, lts, nes)
     if level is None:
-        return UnsatResult(cert)
+        # the two-field events, fire and empty-clause, name a clause id
+        return UnsatResult([(e[0], ids[e[1]]) if len(e) == 2 else e for e in cert])
     return SatResult(WeakOrder(tuple(level)))
 
 

@@ -13,6 +13,7 @@ game search (``classifier.gadget_relation`` over ``game.brute_solve``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional
 
 from .formula import HOLDS, QfFormula
@@ -126,8 +127,6 @@ def enumerate_marked_orders(n: int) -> Iterator[WeakOrder]:
 
 def ordered_bell(n: int) -> int:
     """Fubini numbers by the binomial recursion (independent of the enumerator)."""
-    from math import comb
-
     a = [1]
     for m in range(1, n + 1):
         a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))

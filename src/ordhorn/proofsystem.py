@@ -23,8 +23,9 @@ from typing import Optional
 
 from .formula import OhClause, QcspInstance
 from .game import Move
+from .ohsat import _bits
 from .orders import WeakOrder
-from .solver import Verdict, _bits, _check_dialect, _cut_mask, _upset_masks
+from .solver import Verdict, _check_dialect, _cut_mask, _upset_masks
 
 
 class StrategyUndefinedError(RuntimeError):

@@ -182,10 +182,10 @@ def test_model_uses_distinct_levels_per_class():
 
 def test_sccs_match_mutual_reachability():
     """closure on seeded random graphs with duplicate edges and self-loops,
-    given as ``les`` edges with no clauses: variables share a level iff they
+    given as the unit edges of a clause set: variables share a level iff they
     reach each other, a variable's level is at most that of every variable
     it reaches, and the levels are 0, 1, ... with none skipped."""
-    from ordhorn.ohsat import closure
+    from ordhorn.ohsat import ClauseSet, closure
 
     rng = random.Random(1972)
     for _ in range(2000):
@@ -209,7 +209,10 @@ def test_sccs_match_mutual_reachability():
                         seen.add(w)
                         todo.append(w)
             reach.append(seen)
-        level, _ = closure(n, [], [], [], edges, [], [], {})
+        cs = ClauseSet(n, ())
+        for a, b in edges:
+            cs.add(b, 0, a)  # the edge a <= b
+        level, _ = closure(cs, [], [], [])
         assert sorted(set(level)) == list(range(len(set(level))))
         for v in range(n):
             for w in range(n):
@@ -218,64 +221,49 @@ def test_sccs_match_mutual_reachability():
                     assert level[v] <= level[w]
 
 
-def _random_closure_input(rng, n):
-    """Clause arrays under the solver's conventions (partner-free clauses as
-    edges, retired entries) plus the live clauses and the edges."""
-    pmasks, targets = [], []
-    live = []  # the entries that are not retired, as clauses
-    by_pivot = {}
-    for i in range(rng.randint(0, 4)):
-        pivot = rng.randrange(n)
-        others = [v for v in range(n) if v != pivot]
-        rng.shuffle(others)
-        partners = others[: rng.randint(1, min(2, len(others)))]
-        m = 0
-        for p in partners:
-            m |= 1 << p
-        target = rng.choice([-2, -1] + list(range(n)))
-        # a retired entry stays in the arrays, as a clause that would
-        # refute if it fired, but is left out of by_pivot
-        retired = target == -2
-        pmasks.append(m)
-        targets.append(-1 if retired else target)
-        if not retired:
-            by_pivot.setdefault(pivot, []).append(i)
-            live.append(OhClause(pivot, frozenset(partners), None if target < 0 else target))
-    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
-    return pmasks, targets, by_pivot, live, edges
-
-
 def test_closure_matches_weak_order_brute_force():
-    """The closure engine under the solver's conventions (partner-free
-    clauses as edges, retired entries, equality/strict/disequality atoms)
-    against weak-order brute force; SAT answers must come with a class order
-    that yields a model."""
-    from ordhorn.ohsat import closure
+    """The closure engine on random clause sets (partner-free clauses as
+    edges, entries retired the solver's way) with equality, strict and
+    disequality atoms, against weak-order brute force over the set's indexed
+    clauses and edges; SAT answers must come with a class order that yields
+    a model.  More than 900 answers are UNSAT and more than 500 entries are
+    retired."""
+    from ordhorn.ohsat import _bits, closure
 
     rng = random.Random(909)
     orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
+    unsat = retired = 0
     for _ in range(1500):
         n = rng.randint(2, 5)
-        pmasks, targets, by_pivot, live, edges = _random_closure_input(rng, n)
+        cs = _random_clause_set(rng, n, ())
+        live = []  # the indexed clauses; a retired entry is entailed by its unit edge
+        for p, ids in cs.by_pivot.items():
+            for i in ids:
+                t = cs.targets[i]
+                live.append(OhClause(p, frozenset(_bits(cs.pmasks[i])), t if t >= 0 else None))
+        retired += len(cs.pmasks) - len(live)
         eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
         atoms = (
             [Atom(a, "=", b) for a, b in eqs]
-            + [Atom(a, "<=", b) for a, b in edges]
+            + [Atom(a, "<=", b) for a, b in cs.edges]
             + [Atom(a, "<", b) for a, b in lts]
             + [Atom(a, "!=", b) for a, b in nes]
         )
         conj = OhConjunction(n, tuple(live), tuple(atoms))
-        level, cert = closure(n, pmasks, targets, eqs, edges, lts, nes, by_pivot)
+        level, cert = closure(cs, eqs, lts, nes)
         truth = any(model_satisfies(conj, w) for w in orders[n])
         assert (level is not None) == truth, conj
         if level is None:
+            unsat += 1
             assert cert
         else:
             assert cert is None
             assert sorted(set(level)) == list(range(len(set(level))))
             assert model_satisfies(conj, WeakOrder(tuple(level))), conj
+    assert unsat > 900
+    assert retired > 500
 
 
 def _plain_eqs(x, z, order, j):
@@ -284,9 +272,9 @@ def _plain_eqs(x, z, order, j):
 
 
 def _random_clause_set(rng, n, order):
-    """A ClauseSet over ``order`` of random clauses (as in
-    ``_random_closure_input``) and edges, with retired entries made the way
-    the solver makes them: a derived clause, then a unit on its pair."""
+    """A ClauseSet over ``order`` of random clauses and edges, with retired
+    entries made the way the solver makes them: a derived clause, then a
+    unit on its pair."""
     from ordhorn.ohsat import ClauseSet
 
     cs = ClauseSet(n, order)
@@ -312,8 +300,7 @@ def _plain_closure(cs, x, z, j):
     """The plain closure of a memo probe's conjunction over ``cs``."""
     from ordhorn.ohsat import closure
 
-    return closure(cs.n, cs.pmasks, cs.targets, _plain_eqs(x, z, cs.order, j), cs.edges,
-                   [(x, z)], [], cs.by_pivot)
+    return closure(cs, _plain_eqs(x, z, cs.order, j), [(x, z)], [])
 
 
 def test_memo_probe_matches_plain_closure():

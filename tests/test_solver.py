@@ -124,9 +124,9 @@ def test_clause_count_bound():
 
 def test_log_is_replayable(running_oh):
     """Re-running the oracle test of each fresh derivation reproduces it."""
-    from ordhorn.ohsat import OhConjunction, oh_sat
+    from ordhorn.ohsat import OhConjunction, _bits, oh_sat
     from ordhorn.formula import Atom
-    from ordhorn.solver import _upset_masks, _bits
+    from ordhorn.solver import _upset_masks
 
     compiled = compile_to_mplus(running_oh)
     verdict = solve(compiled)
@@ -250,9 +250,9 @@ def _reference_solve(inst):
     triples, rejection first, a fresh full oracle call per triple, no
     up-set deduplication and no search shortcuts.  Returns (verdict,
     clause-key set) with the key set meaningful on true instances only."""
-    from ordhorn.ohsat import OhConjunction, oh_sat
+    from ordhorn.ohsat import OhConjunction, _bits, oh_sat
     from ordhorn.formula import Atom
-    from ordhorn.solver import _upset_masks, _bits, cut_set
+    from ordhorn.solver import _upset_masks, cut_set
 
     n = inst.n_vars
     quants = inst.quants
@@ -326,7 +326,7 @@ def test_each_probe_is_one_closure_call(monkeypatch):
     def checked(cs, x, z, j):
         got = probe(cs, x, z, j)
         pairs = [(x, v) for v in cs.order[j:] if v != x and v != z]
-        level, _ = closure(cs.n, cs.pmasks, cs.targets, pairs, cs.edges, [(x, z)], [], cs.by_pivot)
+        level, _ = closure(cs, pairs, [(x, z)], [])
         assert (got[0] is None) == (level is None)
         if got[0] is not None:
             assert memo_partition(cs.memo, got[0]) == partition(level)

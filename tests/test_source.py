@@ -64,3 +64,25 @@ def test_only_ohsat_touches_the_probe_memo():
                   and isinstance(node.slice.value, str)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"probe memo used outside ohsat: {found}"
+
+
+def test_private_imports_come_from_their_home():
+    # a private name is imported from the module that defines it, not
+    # through another module's import of it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = {}
+    for module, tree in trees.items():
+        names = defined[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found += [f"{module}.py:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_") and a.name not in defined[node.module]]
+    assert not found, f"private names imported through a re-export: {found}"
