@@ -338,6 +338,34 @@ def test_memo_probe_matches_plain_closure():
     assert retired > 100
 
 
+def test_probe_output_pinned():
+    """One SHA-256 over every ``probe`` 4-tuple (the grown class, the
+    certificate and the ``fired`` ids in order) on 2,000 seeded clause sets,
+    eight probes each, so that the memo's grown-class map answers some of
+    them.  A change to an answer, an event order or the order of ``fired``
+    breaks the pin."""
+    import hashlib
+
+    from ordhorn.ohsat import probe
+
+    rng = random.Random(2121)
+    h = hashlib.sha256()
+    unsat = stored = fires = 0
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        cs = _random_clause_set(rng, n, rng.sample(range(n), rng.randint(0, n)))
+        for _ in range(8):
+            x, z = rng.sample(range(n), 2)
+            j = rng.randint(0, len(cs.order))
+            stored += (x, j) in cs.memo.get("grown", ())
+            got = probe(cs, x, z, j)
+            unsat += got[0] is None
+            fires += len(got[3] or ())
+            h.update(repr(got).encode())
+    assert (unsat, stored, fires) == (3803, 2954, 731)
+    assert h.hexdigest() == "f2ff6c2a7358c3a563ba1d0acd2f1df3220fd961af8e8bf3e9d3d24d2b38a12b"
+
+
 def _range_probe_cases(inst):
     """An M+ instance as the solver hands it to the oracle: a ClauseSet of
     its clauses over the universals in prefix order."""
