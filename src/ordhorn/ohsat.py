@@ -20,8 +20,9 @@ feeds both: a :class:`ClauseSet`, built only by :meth:`ClauseSet.add`.  It
 indexes each clause (partner mask ``pmasks[i]``, target ``targets[i]``,
 -1 for none) under its pivot in ``by_pivot``, and the engine re-examines a
 clause only when its pivot's class grows.  So a partner-free clause is kept
-as a plain ``<=`` edge (callers refute one without an order disjunct at
-once), and a clause left out of ``by_pivot`` never fires.
+as a plain ``<=`` edge (``add`` rejects one without an order disjunct,
+which callers refute at once), and a clause left out of ``by_pivot`` never
+fires.
 
 :func:`closure` decides a clause set with extra atoms, returning each
 variable's level in a model or a refutation certificate; :func:`oh_sat`
@@ -54,10 +55,12 @@ as the fixpoint runs.  Probes with z inside the range and refuted probes
 are not stored.
 
 :meth:`ClauseSet.add` keeps the memo valid.  It clears the memo whenever
-the base fixpoint may move: on a unit clause (a new edge, or a retired
-slot) and on a new or shrunk partner set inside its pivot's base class (a
-clause that fires in the base).  Any other clause is read live from the
-arrays, so ``add`` only empties ``memo["grown"]``, where it may fire.
+the base fixpoint may move: on a unit clause whose edge t <= p is new, and
+on a new or shrunk partner set inside its pivot's base class (a clause that
+fires in the base).  A unit whose edge the base already implies keeps the
+memo, ``memo["grown"]`` included: the slot it retires could only add that
+same edge.  Any other clause is read live from the arrays, so ``add`` only
+empties ``memo["grown"]``, where it may fire.
 """
 
 from __future__ import annotations
@@ -212,10 +215,14 @@ class ClauseSet:
         self.memo = {}
 
     def add(self, p, m, t, derived=False):
-        """Add the clause with pivot p, partner mask m and target t (-1: none)."""
+        """Add the clause with pivot p, partner mask m and target t (-1: none);
+        ValueError for a clause with neither partners nor a target."""
         memo = self.memo
         if not m:
-            memo.clear()
+            if t < 0:
+                raise ValueError("a clause without partners needs an order disjunct")
+            if memo and not memo["up"][t] >> p & 1:
+                memo.clear()  # a new edge t <= p may move the base fixpoint
             self.edges.append((t, p))
             self.units.add((p, t))
             slot = self.slots.pop((p, t), None)
@@ -256,8 +263,9 @@ def probe(cs, x, z, j):
     stays empty and the certificate is that fixpoint's.  A probe answered
     from ``memo["grown"]`` lists every clause fired up to the stored
     fixpoint, which may be more than a probe stopped as soon as z entered
-    would list.  The ``fired`` list is shared with the memo, so callers
-    must not mutate it.
+    would list, and may name a slot that an implied unit retired since.
+    The ``fired`` list is shared with the memo, so callers must not mutate
+    it.
     """
     n, order, memo = cs.n, cs.order, cs.memo
     pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
@@ -287,17 +295,24 @@ def probe(cs, x, z, j):
     c_mask = cls[x] | packed & full
     upc = up[x] | packed >> n & full
     downc = down[x] | packed >> 2 * n
-    pending = [i for w in _bits(c_mask & piv) for i in by_pivot[w]]  # unfired, pivoted in C
+    pending = []  # unfired, pivoted in C
+    w = c_mask & piv
+    while w:
+        low = w & -w
+        pending += by_pivot[low.bit_length() - 1]
+        w ^= low
     fired = []
     while True:
         outside = ~c_mask
         firing = [i for i in pending if not pmasks[i] & outside]
-        fired += firing
-        for i in firing:
-            t = targets[i]
-            if t < 0:
-                return None, None, [("fire", f) for f in fired] + [("empty-clause", i)], None
-            downc |= down[t]
+        if firing:
+            fired += firing
+            pending = [i for i in pending if pmasks[i] & outside]
+            for i in firing:
+                t = targets[i]
+                if t < 0:
+                    return None, None, [("fire", f) for f in fired] + [("empty-clause", i)], None
+                downc |= down[t]
         if downc >> z & 1:
             return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
         # the classes above C and below C | T join it
@@ -306,12 +321,15 @@ def probe(cs, x, z, j):
             if iz < j:
                 memo["grown"][x, j] = c_mask, downc, fired
             return c_mask, None, None, fired
-        pending = [i for i in pending if pmasks[i] & outside]
         c_mask |= new
-        for v in _bits(new):
+        while new:
+            low = new & -new
+            v = low.bit_length() - 1
             upc |= up[v]
             downc |= down[v]
-        pending += [i for w in _bits(new & piv) for i in by_pivot[w]]
+            if low & piv:
+                pending += by_pivot[v]
+            new ^= low
 
 
 def oh_sat(conj: OhConjunction):

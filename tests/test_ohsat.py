@@ -552,7 +552,9 @@ def test_clause_set_add_subsumption():
 
 def test_clause_set_add_keeps_memo_valid():
     """A clause that fires in its pivot's base class clears the memo; any
-    other clause keeps it and empties ``memo["grown"]``; a unit clears it."""
+    other clause keeps it and empties ``memo["grown"]``; a unit clears it
+    when its edge is new, and keeps both when the base fixpoint already
+    implies the edge, though it still retires its pair's slot."""
     from ordhorn.ohsat import ClauseSet, probe
 
     cs = ClauseSet(4, [3])
@@ -568,3 +570,36 @@ def test_clause_set_add_keeps_memo_valid():
     assert probe(cs, 2, 3, 1)[0] is not None and cs.memo
     cs.add(3, 0, 2)
     assert not cs.memo
+
+    cs = ClauseSet(5, [3])
+    cs.add(0, 1 << 3, 2, derived=True)  # slot 0: 0 != 3 | 0 >= 2
+    cs.add(1, 0, 2)
+    cs.add(0, 0, 1)  # 2 <= 1 <= 0, so the base implies 2 <= 0
+    assert probe(cs, 0, 4, 0)[3] == [0]
+    grown = cs.memo["grown"]
+    cs.add(0, 0, 2)
+    assert cs.memo.get("grown") is grown and (0, 0) in grown
+    assert cs.by_pivot[0] == [] and cs.edges[-1] == (2, 0)
+    for x, z, j in ((0, 4, 0), (4, 0, 0), (0, 3, 1), (3, 0, 0), (4, 2, 0), (0, 2, 0)):
+        got = probe(cs, x, z, j)
+        level, _ = _plain_closure(cs, x, z, j)
+        assert (got[0] is None) == (level is None), (x, z, j)
+        if level is not None:
+            assert memo_partition(cs.memo, got[0]) == partition(level), (x, z, j)
+    assert probe(cs, 0, 4, 0)[3] == [0], "the stored fired list names the retired slot"
+    assert cs.memo.get("grown") is grown, "no probe refilled the memo"
+
+
+def test_clause_set_add_rejects_falsity_clause():
+    """``ClauseSet.add`` raises on a clause with neither partners nor a
+    target, with the memo empty and with it live, and leaves the set as it
+    was: the plain closure and the probe still find 0 < 2 satisfiable."""
+    from ordhorn.ohsat import ClauseSet, closure, probe
+
+    cs = ClauseSet(3, [1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order disjunct"):
+            cs.add(0, 0, -1)
+        assert cs.edges == [] and not cs.units
+        assert closure(cs, [], [(0, 2)], [])[0] is not None
+        assert probe(cs, 0, 2, 0)[0] is not None and cs.memo
