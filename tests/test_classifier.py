@@ -481,6 +481,43 @@ def test_hypothesis_violations():
         short_tool_gadget(5, [catalogue("SM")])
 
 
+def _toolbox_outcome(item, r):
+    try:
+        return repr(short_tool_gadget(item, [r]))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_classify_output_pinned():
+    """One SHA-256 over ``classify`` reports (JSON, key order included) and
+    over the toolbox's items 2-5, which check a sandwich hypothesis before
+    building: the gadget's ``repr``, or the exception's type and message.
+    Groups: each catalogue relation alone, NAE3-5, 140 seeded random
+    relations of arity 2-4, and 20 adjacent pairs of them."""
+    import hashlib
+    import json
+
+    rng = random.Random(2222)
+    randoms = [_random_relation(rng, 2 + i % 3) for i in range(140)]
+    catalogued = [catalogue(name) for name in names()]
+    groups = [[r] for r in catalogued + [catalogue(f"NAE{k}") for k in (3, 4, 5)] + randoms]
+    groups += [randoms[i : i + 2] for i in range(20)]
+    h = hashlib.sha256()
+    verdicts = []
+    for g in groups:
+        report = classify(g)
+        verdicts.append(report.verdict)
+        h.update(json.dumps(report.to_json_dict()).encode())
+    refused = 0
+    for r in catalogued + randoms[:20]:
+        for item in (2, 3, 4, 5):
+            outcome = _toolbox_outcome(item, r)
+            refused += outcome.startswith("HypothesisError")
+            h.update(outcome.encode())
+    assert (len(groups), verdicts.count(VERDICT_P), refused) == (182, 155, 74)
+    assert h.hexdigest() == "7fdb02b8a6c3d49293627c55d76fcf4eaaee93c87209b52516f9769f66d534ba"
+
+
 # --- classify ------------------------------------------------------------------
 
 

@@ -174,6 +174,30 @@ def test_saturate_matches_naive_reference():
     assert agree > 30
 
 
+def test_saturate_output_pinned():
+    """One SHA-256 over what ``saturate`` stores and in which order: status,
+    fact count, bottom fact, the minimal sets in insertion order, and the
+    dump.  The join order decides which facts are stored when bottom or the
+    cap stops saturation, so a change to any Progress premise level shows."""
+    import hashlib
+
+    from ordhorn.generators import exhaustive_mplus_instances
+
+    rng = random.Random(4040)
+    randoms = [random_mplus_instance(rng, max_vars=7, max_clauses=8) for _ in range(500)]
+    runs = [(inst, 10**5) for inst in exhaustive_mplus_instances(3, 3)]
+    runs += [(inst, cap) for cap in (10**5, 7) for inst in randoms]
+    h = hashlib.sha256()
+    statuses = {"complete": 0, "bottom": 0, "cap": 0}
+    for inst, cap in runs:
+        got = saturate(inst, cap=cap)
+        statuses[got.status] += 1
+        record = (got.status, got.fact_count, got.bottom_fact, list(got.minimal.items()), got.dump())
+        h.update(repr(record).encode())
+    assert statuses == {"complete": 991, "bottom": 1197, "cap": 148}
+    assert h.hexdigest() == "74a3c300042fd78991e03e3670bab354b7799032e5a9c8302906c2aa32c9ad6e"
+
+
 def test_bottom_implies_solver_false():
     rng = random.Random(3232)
     hits = 0
