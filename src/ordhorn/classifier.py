@@ -42,12 +42,14 @@ class NoValidIndexError(RuntimeError):
 
 
 @dataclass
-class PreservationResult:
-    preserved: bool
-    witness: Optional[tuple] = None  # (t1, t2) violating weak orders
+class _Check:
+    """Whether a check on a relation holds, and a witness when it does not."""
+
+    holds: bool
+    witness: Optional[tuple] = None
 
     def __bool__(self):
-        return self.preserved
+        return self.holds
 
 
 def _guard_arity(r: TemporalRelation):
@@ -88,7 +90,7 @@ def _reads(op: str, t1: WeakOrder):
     return signature, tuple(b for b in blocks if len(b) > 1)
 
 
-def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
+def is_preserved_by(r: TemporalRelation, op: str) -> _Check:
     """Polymorphism check over order-type pairs, one image per signature.
 
     The first argument ranges over zero-marked weak orders because pp and ll
@@ -100,6 +102,7 @@ def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
     witness returned is the lexicographically first violating pair in
     enumeration order: an earlier t1 with the same signature would have
     violated first, and the first violating t2 is the first of its pattern.
+    It is the pair (t1, t2) of weak orders.
     """
     _guard_arity(r)
     f = r.defn
@@ -121,8 +124,8 @@ def is_preserved_by(r: TemporalRelation, op: str) -> PreservationResult:
             representatives[blocks] = list(first.values())
         for t2 in representatives[blocks]:
             if apply_op(op, t1, t2).ranks not in members:
-                return PreservationResult(False, (t1, t2))
-    return PreservationResult(True)
+                return _Check(False, (t1, t2))
+    return _Check(True)
 
 
 # ---------------------------------------------------------------------------
@@ -449,52 +452,37 @@ def gadget_relation(q: QuantifiedFormula):
 # sandwiches and the gadget constructions
 
 
-@dataclass
-class SandwichResult:
-    ok: bool
-    witness: Optional[tuple] = None  # (which, ranks)
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_sandwich(r: TemporalRelation, lower: TemporalRelation, upper: TemporalRelation):
-    """Containment lower <= r <= upper by weak-order enumeration."""
+def verify_sandwich(r: TemporalRelation, lower: TemporalRelation, upper: TemporalRelation) -> _Check:
+    """Containment lower <= r <= upper by weak-order enumeration; the witness
+    is ("lower" or "upper", ranks) for the first order type that breaks it."""
     if not (r.arity == lower.arity == upper.arity):
         raise ValueError("sandwich arities differ")
     _guard_arity(r)
     for w in enumerate_weak_orders(r.arity):
         if eval_qf(lower.defn, w) and not eval_qf(r.defn, w):
-            return SandwichResult(False, ("lower", w.ranks))
+            return _Check(False, ("lower", w.ranks))
         if eval_qf(r.defn, w) and not eval_qf(upper.defn, w):
-            return SandwichResult(False, ("upper", w.ranks))
-    return SandwichResult(True)
+            return _Check(False, ("upper", w.ranks))
+    return _Check(True)
 
 
-def _is_separated_strict_m(r):
-    return (verify_sandwich(r, catalogue("lrGSM<"), catalogue("SSM")).ok
-            or verify_sandwich(r, catalogue("rlGSM<"), catalogue("SSM")).ok)
+# The toolbox's sandwich hypotheses: name -> (lower bounds, upper bound).  A
+# separated M-relation is neither within SSM nor within SD, and needs no test
+# for it: lrGSM and rlGSM each hold a tuple outside SSM and one outside SD.
+_HYPOTHESES = {
+    "separated M-relation": (("lrGSM", "rlGSM"), "SM"),
+    "dual M-relation": (("GM-",), "M-"),
+    "separated strict M-relation": (("lrGSM<", "rlGSM<"), "SSM"),
+    "dual strict M-relation": (("GVM<-",), "M<-"),
+    "separated disjunction of disequalities": (("GSN",), "NEQ2"),
+}
 
 
-def _is_dual_strict_m(r):
-    return verify_sandwich(r, catalogue("GVM<-"), catalogue("M<-")).ok
-
-
-def _is_separated_disjunction(r):
-    return verify_sandwich(r, catalogue("GSN"), catalogue("NEQ2")).ok
-
-
-def _is_separated_m(r):
-    in_upper = verify_sandwich(r, r, catalogue("SM")).ok
-    has_lower = (verify_sandwich(r, catalogue("lrGSM"), r).ok
-                 or verify_sandwich(r, catalogue("rlGSM"), r).ok)
-    not_strict = not verify_sandwich(r, r, catalogue("SSM")).ok
-    not_sd = not verify_sandwich(r, r, catalogue("SD")).ok
-    return in_upper and has_lower and not_strict and not_sd
-
-
-def _is_dual_m(r):
-    return verify_sandwich(r, catalogue("GM-"), catalogue("M-")).ok
+def _check_hypothesis(r, name):
+    """Raise HypothesisError unless lower <= r <= upper for some lower bound."""
+    lowers, upper = _HYPOTHESES[name]
+    if not any(verify_sandwich(r, catalogue(lower), catalogue(upper)) for lower in lowers):
+        raise HypothesisError(f"input is not a {name}")
 
 
 def _subst(clauses, mapping):
@@ -521,28 +509,24 @@ def short_tool_gadget(item: int, inputs=(), which: str = "le") -> QuantifiedForm
     if item == 2:
         (r,) = inputs
         if r.arity == 4:
-            if not _is_separated_m(r):
-                raise HypothesisError("input is not a separated M-relation")
+            _check_hypothesis(r, "separated M-relation")
             extra = (Atom(2, "!=", 3),)
         elif r.arity == 3:
-            if not _is_dual_m(r):
-                raise HypothesisError("input is not a dual M-relation")
+            _check_hypothesis(r, "dual M-relation")
             extra = (Atom(1, "!=", 2),)
         else:
             raise HypothesisError("item 2 expects a ternary or quaternary relation")
         return QuantifiedFormula(r.arity, (), QfFormula(r.arity, r.defn.clauses + (extra,)))
     if item == 3:
         (r,) = inputs
-        if not _is_separated_strict_m(r):
-            raise HypothesisError("input is not a separated strict M-relation")
+        _check_hypothesis(r, "separated strict M-relation")
         a, b = 4, 5
         clauses = _subst(r.defn.clauses, {0: 1, 1: 0, 2: a, 3: b})
         clauses += _subst(r.defn.clauses, {0: 3, 1: 2, 2: b, 3: a})
         return QuantifiedFormula(4, ("E", "E"), QfFormula(6, tuple(clauses)))
     if item == 4:
         (r,) = inputs
-        if not _is_dual_strict_m(r):
-            raise HypothesisError("input is not a dual strict M-relation")
+        _check_hypothesis(r, "dual strict M-relation")
         x1, y1, x2, y2, h = 0, 1, 2, 3, 4
         clauses = _subst(mplus, {0: x1, 1: y1, 2: h})
         clauses += _subst(r.defn.clauses, {0: x2, 1: y2, 2: h})
@@ -550,8 +534,7 @@ def short_tool_gadget(item: int, inputs=(), which: str = "le") -> QuantifiedForm
         return QuantifiedFormula(4, ("E",), QfFormula(5, tuple(clauses)))
     if item == 5:
         (r,) = inputs
-        if not _is_separated_disjunction(r):
-            raise HypothesisError("input is not a separated disjunction of disequalities")
+        _check_hypothesis(r, "separated disjunction of disequalities")
         # free variables ordered as the target relation (y1 != x1 v y2 != x2) ^ (x1 < x2)
         y1, x1, y2, x2, v1, v2 = 0, 1, 2, 3, 4, 5
         clauses = _subst(r.defn.clauses, {0: x1, 1: v1, 2: x2, 3: v2})
@@ -625,35 +608,17 @@ def classify(rels) -> ClassReport:
     procedure here, so a failed parse never certifies hardness on its own.
     """
     witnesses = {}
-    pp_all = dual_all = True
-    oh_sem = oh_syn = shape_all = goh_all = True
+    rows = []  # per relation: oh, oh shape, pp, dual pp, ppsynt shape, goh
     for idx, r in enumerate(rels):
         oh, pp, dual_pp = hull_flags(r)
         if not pp:
-            pp_all = False
             witnesses[f"pp[{idx}]"] = _witness(r, "pp")
         if not dual_pp:
-            dual_all = False
             witnesses[f"dual_pp[{idx}]"] = _witness(r, "dual_pp")
-        if not oh:
-            oh_sem = False
-        if not oh_shape(r.defn):
-            oh_syn = False
-        if not ppsynt_shape(r.defn):
-            shape_all = False
-        if not goh_syntactic(r.defn):
-            goh_all = False
+        rows.append((oh, oh_shape(r.defn), pp, dual_pp, ppsynt_shape(r.defn), goh_syntactic(r.defn)))
+    oh_sem, oh_syn, pp_all, dual_all, shape_all, goh_all = (all(row[i] for row in rows) for i in range(6))
     verdict = VERDICT_P if (pp_all or dual_all or goh_all) else VERDICT_HARD
-    return ClassReport(
-        oh_semantic=oh_sem,
-        oh_syntactic=oh_syn,
-        pp_preserved=pp_all,
-        dual_pp_preserved=dual_all,
-        ppsynt_shape=shape_all,
-        goh_syntactic=goh_all,
-        witnesses=witnesses,
-        verdict=verdict,
-    )
+    return ClassReport(oh_sem, oh_syn, pp_all, dual_all, shape_all, goh_all, witnesses, verdict)
 
 
 def reverse(r: TemporalRelation) -> TemporalRelation:

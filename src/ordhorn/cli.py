@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit status: 0 on success (verdicts are printed, not encoded), 2 on usage
-errors, 3 on input errors, 4 on resource limits.
+Exit status: 0 on success (verdicts are printed, not encoded), 1 when a
+check fails (a selftest disagreement, or a strategy with no admissible
+move), 2 on usage errors, 3 on input errors, 4 on resource limits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .reductions import parse_dimacs, reduction_text
 from .solver import DialectError, compile_to_mplus, solve
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
@@ -216,7 +218,7 @@ def _cmd_selftest(args):
     print(f"oh_sat vs weak-order brute force: {args.rounds} conjunctions checked")
 
     print("selftest: " + ("FAIL" if failures else "ok"))
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_FAILED
 
 
 @functools.cache
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except StrategyUndefinedError as exc:
         print(f"strategy undefined (this falsifies well-definedness): {exc}", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

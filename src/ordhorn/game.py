@@ -200,7 +200,7 @@ def brute_solve(
     finally:
         memo.clear()  # search refers to itself, so only the collector frees it
         live_vars.clear()
-    return GameVerdict(value, nodes, strat if (emit_strategy and value) else None)
+    return GameVerdict(value, nodes, strat)
 
 
 def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000) -> GameOutcome:
@@ -231,14 +231,10 @@ def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000)
         if not still_open:
             return None
         if quants[next_var] == "E":
-            mv = ep(next_var, WeakOrder(tuple(ranks[:next_var])))
-            ranks2 = list(ranks)
-            nl2 = play(ranks2, next_var, mv, n_levels)
-            trace.append((names[next_var], mv.text()))
-            out = rec(next_var + 1, ranks2, nl2, still_open)
-            trace.pop()
-            return out
-        for mv in legal_moves(n_levels):
+            moves = (ep(next_var, WeakOrder(tuple(ranks[:next_var]))),)
+        else:
+            moves = legal_moves(n_levels)
+        for mv in moves:
             ranks2 = list(ranks)
             nl2 = play(ranks2, next_var, mv, n_levels)
             trace.append((names[next_var], mv.text()))

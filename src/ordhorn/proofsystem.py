@@ -147,32 +147,34 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
 
         A combination is joined only if its non-universal w's are one variable,
         which is then the only one that may survive; otherwise any w may.
+        ``e`` holds that variable so far, or -1: a non-universal w that equals
+        an earlier w equals ``e``, so each level tests ``w != e`` alone.
         """
         for w1, a in l1:
-            n1 = () if univ[w1] else (w1,)
+            e1 = -1 if univ[w1] else w1
             for w2 in l2:
-                if not univ[w2] and w2 != w1:
-                    if n1:
+                if not univ[w2] and w2 != e1:
+                    if e1 >= 0:
                         continue
-                    n2 = (w2,)
+                    e2 = w2
                 else:
-                    n2 = n1
+                    e2 = e1
                 for w3, b in l3:
-                    if not univ[w3] and w3 != w1 and w3 != w2:
-                        if n2:
+                    if not univ[w3] and w3 != e2:
+                        if e2 >= 0:
                             continue
-                        n3 = (w3,)
+                        e3 = w3
                     else:
-                        n3 = n2
+                        e3 = e2
                     for w4 in l4:
-                        if not univ[w4] and w4 != w1 and w4 != w2 and w4 != w3:
-                            if n3:
+                        if not univ[w4] and w4 != e3:
+                            if e3 >= 0:
                                 continue
-                            n4 = (w4,)
+                            e4 = w4
                         else:
-                            n4 = n3
+                            e4 = e3
                         ws = (1 << w1) | (1 << w2) | (1 << w3) | (1 << w4)
-                        for wi in n4 or set((w1, w2, w3, w4)):
+                        for wi in (e4,) if e4 >= 0 else set((w1, w2, w3, w4)):
                             yield wi, zc, a | b | (ws & ~(1 << wi))
 
     def conclusions(x, z, mask):

@@ -144,8 +144,8 @@ def test_preservation_matches_pair_scan():
         for op in PRESERVATION_OPS:
             res = is_preserved_by(r, op)
             witness = _pair_scan(r, op)
-            assert (res.preserved, res.witness) == (witness is None, witness), (r, op)
-            preserved[op] = res.preserved
+            assert (res.holds, res.witness) == (witness is None, witness), (r, op)
+            preserved[op] = res.holds
         oh = preserved["ll"] and preserved["dual_ll"]
         assert hull_flags(r) == (oh, preserved["pp"], preserved["dual_pp"]), r
 
@@ -440,17 +440,17 @@ def test_item1_lt_via_game():
 def test_item2_separated_m_to_strict():
     out = short_tool_gadget(2, [catalogue("lrGSM")])
     r = TemporalRelation(4, QfFormula(4, tuple(out.formula.clauses)))
-    from ordhorn.classifier import _is_separated_strict_m
+    from ordhorn.classifier import _check_hypothesis
 
-    assert _is_separated_strict_m(r)
+    _check_hypothesis(r, "separated strict M-relation")
 
 
 def test_item2_dual_m_to_dual_strict():
     out = short_tool_gadget(2, [catalogue("GM-")])
     r = TemporalRelation(3, QfFormula(3, tuple(out.formula.clauses)))
-    from ordhorn.classifier import _is_dual_strict_m
+    from ordhorn.classifier import _check_hypothesis
 
-    assert _is_dual_strict_m(r)
+    _check_hypothesis(r, "dual strict M-relation")
 
 
 def test_item3_yields_separated_disjunction():
@@ -516,6 +516,32 @@ def test_classify_output_pinned():
             h.update(outcome.encode())
     assert (len(groups), verdicts.count(VERDICT_P), refused) == (182, 155, 74)
     assert h.hexdigest() == "7fdb02b8a6c3d49293627c55d76fcf4eaaee93c87209b52516f9769f66d534ba"
+
+
+@pytest.mark.parametrize(
+    "item, r, message",
+    [
+        (2, catalogue("SSM"), "input is not a separated M-relation"),
+        (2, catalogue("M+"), "input is not a dual M-relation"),
+        (2, rel(2, [(0, "<=", 1)]), "item 2 expects a ternary or quaternary relation"),
+        (3, catalogue("SM"), "input is not a separated strict M-relation"),
+        (4, catalogue("M+"), "input is not a dual strict M-relation"),
+        (5, catalogue("SM"), "input is not a separated disjunction of disequalities"),
+    ],
+)
+def test_toolbox_refusal_messages(item, r, message):
+    with pytest.raises(HypothesisError) as exc:
+        short_tool_gadget(item, [r])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("lower", ["lrGSM", "rlGSM"])
+@pytest.mark.parametrize("outside", ["SSM", "SD"])
+def test_separated_m_lower_bounds_leave_ssm_and_sd(lower, outside):
+    # so a relation above lrGSM or rlGSM is within neither SSM nor SD
+    r = catalogue(lower)
+    res = verify_sandwich(r, r, catalogue(outside))
+    assert not res.holds and res.witness[0] == "upper"
 
 
 # --- classify ------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordhorn.cli import build_parser, main
+from ordhorn.cli import EXIT_FAILED, EXIT_USAGE, build_parser, main
+from ordhorn.game import GameVerdict, brute_solve
+from ordhorn.proofsystem import StrategyUndefinedError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -228,6 +230,16 @@ def test_verify_strategy_win(capsys):
     assert out.strip() == "win"
 
 
+def test_verify_strategy_undefined_exits_failed(capsys, monkeypatch):
+    def ep_move(*args):
+        raise StrategyUndefinedError("no admissible position")
+
+    monkeypatch.setattr("ordhorn.cli.ep_move", ep_move)
+    code, out, err = run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp")
+    assert (code, out) == (EXIT_FAILED, "")
+    assert err == "strategy undefined (this falsifies well-definedness): no admissible position\n"
+
+
 def test_verify_strategy_bottom(capsys):
     code, out, _ = run(capsys, "verify-strategy", FIXTURES / "reject-cascade.qcsp")
     assert code == 0
@@ -371,7 +383,7 @@ def test_parser_is_shared_and_keeps_no_state(capsys):
 def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -432,6 +444,14 @@ def test_selftest_reduced(capsys):
     code, out, _ = run(capsys, "selftest", "--rounds", "25", "--seed", "1")
     assert code == 0
     assert "selftest: ok" in out
+
+
+def test_selftest_failure_exits_failed(capsys, monkeypatch):
+    monkeypatch.setattr("ordhorn.cli.brute_solve", lambda inst: GameVerdict(not brute_solve(inst).value, 0))
+    code, out, _ = run(capsys, "selftest", "--rounds", "2", "--seed", "1")
+    assert code == EXIT_FAILED
+    assert out.count("solver/oracle disagreement on:") == 380 + 2
+    assert out.endswith("selftest: FAIL\n")
 
 
 def test_quiet_flag(capsys):

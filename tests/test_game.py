@@ -142,6 +142,17 @@ def test_play_against_propagates_callback_errors(running_example):
         play_against(running_example, ep)
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [(Move("eq", 0), "level index out of bounds"), (Move("gap", 2), "gap index out of bounds")],
+)
+def test_play_against_checks_moves_through_play(move, message):
+    # the callback moves first, so no level exists yet: eq0 and gap2 are out of bounds
+    inst = make_general("EA", [[(0, ">=", 0)]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        play_against(inst, lambda var, order: move)
+
+
 def test_brute_agrees_with_itself_on_oh_vs_general(running_example):
     oh = normalize(running_example)
     assert brute_solve(running_example).value == brute_solve(oh).value
