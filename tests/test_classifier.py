@@ -475,10 +475,17 @@ def test_item5_exact_relation():
 
 
 def test_hypothesis_violations():
-    with pytest.raises(HypothesisError):
-        short_tool_gadget(3, [catalogue("SM")])
-    with pytest.raises(HypothesisError):
-        short_tool_gadget(5, [catalogue("SM")])
+    for item, r, message in [
+        (2, catalogue("SSM"), "input is not a separated M-relation"),
+        (2, catalogue("M+"), "input is not a dual M-relation"),
+        (2, rel(2, [(0, "<=", 1)]), "item 2 expects a ternary or quaternary relation"),
+        (3, catalogue("SM"), "input is not a separated strict M-relation"),
+        (4, catalogue("M+"), "input is not a dual strict M-relation"),
+        (5, catalogue("SM"), "input is not a separated disjunction of disequalities"),
+    ]:
+        with pytest.raises(HypothesisError) as exc:
+            short_tool_gadget(item, [r])
+        assert str(exc.value) == message, (item, r.name)
 
 
 def _toolbox_outcome(item, r):
@@ -516,23 +523,6 @@ def test_classify_output_pinned():
             h.update(outcome.encode())
     assert (len(groups), verdicts.count(VERDICT_P), refused) == (182, 155, 74)
     assert h.hexdigest() == "7fdb02b8a6c3d49293627c55d76fcf4eaaee93c87209b52516f9769f66d534ba"
-
-
-@pytest.mark.parametrize(
-    "item, r, message",
-    [
-        (2, catalogue("SSM"), "input is not a separated M-relation"),
-        (2, catalogue("M+"), "input is not a dual M-relation"),
-        (2, rel(2, [(0, "<=", 1)]), "item 2 expects a ternary or quaternary relation"),
-        (3, catalogue("SM"), "input is not a separated strict M-relation"),
-        (4, catalogue("M+"), "input is not a dual strict M-relation"),
-        (5, catalogue("SM"), "input is not a separated disjunction of disequalities"),
-    ],
-)
-def test_toolbox_refusal_messages(item, r, message):
-    with pytest.raises(HypothesisError) as exc:
-        short_tool_gadget(item, [r])
-    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("lower", ["lrGSM", "rlGSM"])
