@@ -242,6 +242,50 @@ def test_compile_fresh_blocks_in_clause_order():
     assert out.quants[5:] == ("E", "A", "E")  # h for clause 0, then z1 and h for clause 1
 
 
+def test_compile_output_pinned():
+    """One SHA-256 over the three places that build the M+ chain or
+    instantiate a named relation: ``print_instance(compile_to_mplus(...))``
+    on 3,000 seeded instances (``random_oh_conjunction`` clauses, some
+    without a target, under a random prefix; every other one with its order
+    atoms added, so it is normalized first; some with a variable named like
+    a fresh one), ``parse_instance`` of one ``C NAME args`` line for every
+    catalogue name and NAE3-5 (arguments in order and reversed), and
+    ``repr`` of ``pp_def_mplus(1..5)`` and of the toolbox's item 1."""
+    import hashlib
+
+    from ordhorn.classifier import pp_def_mplus, short_tool_gadget
+    from ordhorn.generators import random_oh_conjunction
+    from ordhorn.relations import arity_of, names
+
+    rng = random.Random(2323)
+    clashes = ["_h0_2", "_h1_2", "_h0_3", "_z0", "_z1", "_h0_2_1"]
+    h = hashlib.sha256()
+    fresh = renamed = 0
+    for i in range(3000):
+        n = rng.randint(2, 7)
+        clauses, atoms = random_oh_conjunction(rng, n, max_clauses=5)
+        var_names = [rng.choice(clashes) if rng.random() < 0.1 else f"v{j}" for j in range(n)]
+        var_names = [v if var_names.index(v) == j else f"v{j}" for j, v in enumerate(var_names)]
+        matrix = tuple(clauses) + (tuple((a,) for a in atoms) if i % 2 else ())
+        inst = QcspInstance(tuple(var_names), tuple(rng.choice("EA") for _ in range(n)), matrix)
+        out = compile_to_mplus(inst)
+        fresh += out.n_vars - n
+        renamed += sum(v.rsplit("_", 1)[0] in var_names for v in out.names[n:])
+        h.update(print_instance(out).encode())
+    relations = names() + ["NAE3", "NAE4", "NAE5"]
+    for name in relations:
+        args = [f"v{j}" for j in range(arity_of(name))]
+        for order in (args, args[::-1]):
+            text = "qcsp v1\n" + "".join(f"E {v}\n" for v in args) + f"C {name} {' '.join(order)}\n"
+            h.update(repr(parse_instance(text)).encode())
+    for k in range(1, 6):
+        h.update(repr(pp_def_mplus(k)).encode())
+    for which in ("le", "ne", "lt"):
+        h.update(repr(short_tool_gadget(1, which=which)).encode())
+    assert (len(relations), fresh, renamed) == (22, 6339, 240)
+    assert h.hexdigest() == "4d0c9d769b62b379611d1daeee278458aa4e34d8df05e680aef29f6f9882c5d7"
+
+
 # --- differential check against a strict reference scan ------------------------
 
 
