@@ -11,7 +11,8 @@ from functools import reduce
 from operator import or_
 from typing import Optional
 
-from .formula import Atom, QcspInstance, QfFormula, _ge_ne_product, flip_order
+from .formula import Atom, OhClause, QcspInstance, QfFormula, flip_order
+from .formula import _ge_ne_product, _mplus_chain, _subst  # shared private helpers
 from .game import brute_solve
 from .orders import (
     OP_KEYS,
@@ -265,13 +266,15 @@ _GOH_KINDS = {"<=": "le", "<": "lt", "!=": "ne"}
 
 
 def _goh_normal(clause):
-    """Distinct atoms as ("le"|"lt"|"ne", a, b); None when the clause leaves
-    the {<=, <, !=} fragment."""
+    """Distinct atoms as ("le"|"lt"|"ne", a, b), sorted, with a < b in each
+    disequality; None when the clause leaves the {<=, <, !=} fragment."""
     out = set()
     for atom in clause:
         a = atom.lower_first()
         if a.op not in _GOH_KINDS:
             return None
+        if a.op == "!=" and a.left > a.right:
+            a = a.swapped()
         out.add((_GOH_KINDS[a.op], a.left, a.right))
     return tuple(sorted(out))
 
@@ -311,21 +314,10 @@ def goh_syntactic(f: QfFormula) -> bool:
                 continue
             needed = {("ne", min(a, b), max(a, b)) for _, a, b in guard}
             rest = group[:gi] + group[gi + 1 :]
-            candidates = [
-                i
-                for i, c in enumerate(rest)
-                if needed <= {("ne", min(a, b), max(a, b)) if k == "ne" else (k, a, b) for k, a, b in c}
-            ]
+            candidates = [i for i, c in enumerate(rest) if needed <= set(c)]
             for size in range(1, len(candidates) + 1):
                 for combo in itertools.combinations(candidates, size):
-                    residues = tuple(
-                        tuple(sorted(
-                            (k, a, b)
-                            for k, a, b in rest[i]
-                            if not (k == "ne" and ("ne", min(a, b), max(a, b)) in needed)
-                        ))
-                        for i in combo
-                    )
+                    residues = tuple(tuple(lit for lit in rest[i] if lit not in needed) for i in combo)
                     # an empty residue would certify falsity, not truth
                     if all(residues):
                         yield residues, tuple(c for i, c in enumerate(rest) if i not in combo)
@@ -404,33 +396,18 @@ def pp_def_mplus(k: int) -> QuantifiedFormula:
     (x != y1 v ... v x != yk v x >= z) from M+ triples."""
     if not 1 <= k <= 5:
         raise ValueError("k must be in 1..5")
-    x = 0
     ys = list(range(1, k + 1))
-    z = k + 1
+    hs = list(range(k + 2, 2 * k + 1))  # h_2 .. h_k
     mplus = catalogue("M+").defn.clauses
-
-    def app(a, b, c):
-        return _subst(mplus, {0: a, 1: b, 2: c})
-
     clauses = []
-    if k == 1:
-        clauses += app(x, ys[0], z)
-        hs = []
-    else:
-        hs = list(range(k + 2, 2 * k + 1))  # h_2 .. h_k
-        prev = x
-        for i in range(k - 1):
-            h = hs[i]
-            clauses += app(prev, ys[i], h)
-            clauses += app(h, h, x)
-            prev = h
-        clauses += app(prev, ys[-1], z)
+    for a, b, c in _mplus_chain(0, ys, k + 1, hs):
+        clauses += _subst(mplus, {0: a, 1: b, 2: c})
     return QuantifiedFormula(k + 2, tuple("E" for _ in hs), QfFormula(k + 2 + len(hs), tuple(clauses)))
 
 
 def mu_relation(k: int):
     """The target relation of pp_def_mplus as a set of rank tuples."""
-    clause = tuple([Atom(0, "!=", i) for i in range(1, k + 1)] + [Atom(0, ">=", k + 1)])
+    clause = OhClause(0, frozenset(range(1, k + 1)), k + 1).atoms()
     return relation_of(QfFormula(k + 2, (clause,)))
 
 
@@ -479,14 +456,12 @@ _HYPOTHESES = {
 
 
 def _check_hypothesis(r, name):
-    """Raise HypothesisError unless lower <= r <= upper for some lower bound."""
+    """Raise HypothesisError unless r has the upper bound's arity and
+    lower <= r <= upper for some lower bound."""
     lowers, upper = _HYPOTHESES[name]
-    if not any(verify_sandwich(r, catalogue(lower), catalogue(upper)) for lower in lowers):
+    upper = catalogue(upper)
+    if r.arity != upper.arity or not any(verify_sandwich(r, catalogue(lo), upper) for lo in lowers):
         raise HypothesisError(f"input is not a {name}")
-
-
-def _subst(clauses, mapping):
-    return [tuple(Atom(mapping[a.left], a.op, mapping[a.right]) for a in c) for c in clauses]
 
 
 def short_tool_gadget(item: int, inputs=(), which: str = "le") -> QuantifiedFormula:
@@ -498,14 +473,13 @@ def short_tool_gadget(item: int, inputs=(), which: str = "le") -> QuantifiedForm
     """
     mplus = catalogue("M+").defn.clauses
     if item == 1:
-        if which == "le":  # x <= y
-            return QuantifiedFormula(2, (), QfFormula(2, tuple(_subst(mplus, {0: 1, 1: 1, 2: 0}))))
-        if which == "ne":  # forall z: M+(x, y, z)
-            return QuantifiedFormula(2, ("A",), QfFormula(3, tuple(_subst(mplus, {0: 0, 1: 1, 2: 2}))))
-        if which == "lt":
-            clauses = _subst(mplus, {0: 0, 1: 1, 2: 2}) + _subst(mplus, {0: 1, 1: 1, 2: 0})
-            return QuantifiedFormula(2, ("A",), QfFormula(3, tuple(clauses)))
-        raise ValueError("item 1 selects one of 'le', 'ne', 'lt'")
+        le = _subst(mplus, {0: 1, 1: 1, 2: 0})  # x <= y
+        ne = _subst(mplus, {0: 0, 1: 1, 2: 2})  # forall z: M+(x, y, z)
+        if which == "le":
+            return QuantifiedFormula(2, (), QfFormula(2, tuple(le)))
+        if which not in ("ne", "lt"):
+            raise ValueError("item 1 selects one of 'le', 'ne', 'lt'")
+        return QuantifiedFormula(2, ("A",), QfFormula(3, tuple(ne if which == "ne" else ne + le)))
     if item == 2:
         (r,) = inputs
         if r.arity == 4:

@@ -93,6 +93,23 @@ _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 _NEGATED = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "=": "!=", "!=": "="}
 
 
+def _subst(clauses, mapping):
+    """Atom clauses with every variable v renamed to ``mapping[v]``."""
+    return [tuple(Atom(mapping[a.left], a.op, mapping[a.right]) for a in c) for c in clauses]
+
+
+def _mplus_chain(x, ys, z, hs):
+    """M+ triples (a, b, c), each a != b | a >= c, that pp-define x != y1 |
+    ... | x != yk | x >= z over fresh existentials ``hs``, one fewer than
+    ``ys``: (prev, y, h) and (h, h, x) per h, then (prev, yk, z)."""
+    prev = x
+    for y, h in zip(ys, hs):
+        yield prev, y, h
+        yield h, h, x
+        prev = h
+    yield prev, ys[-1], z
+
+
 def flip_order(clauses) -> tuple:
     """Atom clauses with every order atom turned around (the dual order)."""
     return tuple(tuple(Atom(a.left, _FLIPPED[a.op], a.right) for a in c) for c in clauses)
@@ -214,11 +231,7 @@ def _expand_disjunct(tokens, line_no, col, resolve, line):
         raise ParseError(
             f"relation {name} expects {arity} arguments, got {len(args)}", line_no, col
         )
-    arg_ix = [index(v) for v in args]
-    out = []
-    for clause in relations.lookup(name).defn.clauses:
-        out.append(tuple(Atom(arg_ix[a.left], a.op, arg_ix[a.right]) for a in clause))
-    return out
+    return _subst(relations.lookup(name).defn.clauses, [index(v) for v in args])
 
 
 def _parse_clause_line(body, line_no, resolve, line):

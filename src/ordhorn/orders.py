@@ -53,10 +53,7 @@ class WeakOrder:
         return len(self.ranks)
 
     def n_levels(self) -> int:
-        vals = set(self.ranks)
-        if self.zero_rank is not None:
-            vals.add(self.zero_rank)
-        return len(vals)
+        return len(self.levels())
 
     def levels(self):
         """Positions per level, lowest first; the zero marker appears as 'z'."""

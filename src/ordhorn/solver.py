@@ -1,5 +1,6 @@
 """The polynomial-time decision procedure for quantified M+ constraints,
-plus the compilation of pivoted instances down to pure M+ triples.
+plus the compilation of pivoted instances down to pure M+ triples through
+``formula._mplus_chain``, the one chain construction.
 
 The solver iterates to a fixpoint over an evolving clause set: for every
 ordered variable pair (x, z) and every upward set of universal variables it
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .formula import OhClause, QcspInstance, ResourceLimitError, normalize
+from .formula import OhClause, QcspInstance, ResourceLimitError, _mplus_chain, normalize
 from .ohsat import ClauseSet, _bits
 from .ohsat import probe as closure  # the benchmark traces ordhorn.solver.closure
 
@@ -92,7 +93,7 @@ class Verdict:
 
 def up_set(inst: QcspInstance, u: int) -> set:
     """Universal variables at or after u in prefix order."""
-    return {y for y in range(u, inst.n_vars) if inst.quants[y] == "A"}
+    return set(_bits(_upset_masks(inst.quants)[u]))
 
 
 def _upset_masks(quants):
@@ -227,23 +228,14 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     return verdict()
 
 
-def _fresh(names_taken, base):
-    name = base
-    k = 0
-    while name in names_taken:
-        k += 1
-        name = f"{base}_{k}"
-    names_taken.add(name)
-    return name
-
-
 def compile_to_mplus(inst: QcspInstance) -> QcspInstance:
     """Rewrite pivoted clauses into pure M+ triples and units.
 
-    A clause with k >= 2 partners unfolds into a chain through fresh
-    existential variables appended at the end of the prefix; a clause without
-    an order disjunct first universally quantifies a fresh target.  Fresh
-    blocks of distinct clauses are variable-disjoint, in clause order.
+    A clause with k >= 1 partners unfolds into the triples of
+    ``_mplus_chain`` through k - 1 fresh existential variables appended at
+    the end of the prefix; a clause without an order disjunct first
+    universally quantifies a fresh target.  Fresh blocks of distinct clauses
+    are variable-disjoint, in clause order.
     """
     if not inst.is_oh_dialect():
         inst = normalize(inst)
@@ -252,33 +244,24 @@ def compile_to_mplus(inst: QcspInstance) -> QcspInstance:
     taken = set(names)
     out = []
 
-    def emit_chain(pivot, partners, target, tag):
-        if len(partners) <= 1:
-            out.append(OhClause(pivot, frozenset(partners), target))
-            return
-        hs = []
-        for i in range(2, len(partners) + 1):
-            h = _fresh(taken, f"_h{tag}_{i}")
-            names.append(h)
-            quants.append("E")
-            hs.append(len(names) - 1)
-        prev = pivot
-        for i, y in enumerate(partners[:-1]):
-            h = hs[i]
-            out.append(OhClause(prev, frozenset([y]), h))
-            out.append(OhClause(h, frozenset(), pivot))
-            prev = h
-        out.append(OhClause(prev, frozenset([partners[-1]]), target))
+    def fresh(base, q):
+        """Append a q-quantified variable named base, or base_1, base_2, ...
+        past a name already taken; return its index."""
+        name, k = base, 0
+        while name in taken:
+            k += 1
+            name = f"{base}_{k}"
+        taken.add(name)
+        names.append(name)
+        quants.append(q)
+        return len(names) - 1
 
     for j, c in enumerate(inst.matrix):
-        if not isinstance(c, OhClause):
-            raise DialectError("normalize the instance before compiling")
-        partners = sorted(c.partners)
-        if c.target is not None:
-            emit_chain(c.pivot, partners, c.target, j)
-        else:
-            z1 = _fresh(taken, f"_z{j}")
-            names.append(z1)
-            quants.append("A")
-            emit_chain(c.pivot, partners, len(names) - 1, j)
+        target = fresh(f"_z{j}", "A") if c.target is None else c.target
+        if not c.partners:
+            out.append(OhClause(c.pivot, frozenset(), target))
+            continue
+        hs = [fresh(f"_h{j}_{i}", "E") for i in range(2, len(c.partners) + 1)]
+        for a, b, z in _mplus_chain(c.pivot, sorted(c.partners), target, hs):
+            out.append(OhClause(a, frozenset([b]), z))
     return QcspInstance(tuple(names), tuple(quants), tuple(dict.fromkeys(out)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordhorn.cli import EXIT_FAILED, EXIT_USAGE, build_parser, main
-from ordhorn.game import GameVerdict, brute_solve
+from ordhorn.game import GameVerdict, Move, brute_solve
 from ordhorn.proofsystem import StrategyUndefinedError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -240,6 +240,21 @@ def test_verify_strategy_undefined_exits_failed(capsys, monkeypatch):
     assert err == "strategy undefined (this falsifies well-definedness): no admissible position\n"
 
 
+def test_verify_strategy_loss_prints_the_trace(capsys, monkeypatch):
+    # an existential player who always moves below everything loses c1 >= c0
+    monkeypatch.setattr("ordhorn.cli.ep_move", lambda *args: Move("gap", 0))
+    code, out, _ = run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp")
+    assert (code, out.splitlines()) == (0, [
+        "loss",
+        "violated: c1 >= c0",
+        "  c0 -> gap0",
+        "  y1_0 -> eq0",
+        "  y1_1 -> eq0",
+        "  c1 -> gap0",
+    ])
+    assert run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp", "--quiet") == (0, "loss\n", "")
+
+
 def test_verify_strategy_bottom(capsys):
     code, out, _ = run(capsys, "verify-strategy", FIXTURES / "reject-cascade.qcsp")
     assert code == 0
@@ -253,6 +268,15 @@ def test_emit_strategy(capsys):
     blob = json.loads(out)
     assert blob["verdict"] is True
     assert blob["strategy"]["var"] == "x"
+
+
+def test_emit_strategy_text(capsys):
+    # without --json the verdict line comes first, then the same strategy
+    _, blob, _ = run(capsys, "brute", FIXTURES / "forall-exists-gt.qcsp", "--emit-strategy", "--json")
+    code, out, _ = run(capsys, "brute", FIXTURES / "forall-exists-gt.qcsp", "--emit-strategy")
+    verdict, strategy = out.split("\n", 1)
+    assert (code, verdict) == (0, "true")
+    assert strategy == json.dumps(json.loads(blob)["strategy"], indent=2) + "\n"
 
 
 def test_missing_file_is_input_error(capsys):
@@ -316,6 +340,21 @@ def test_syntax_error_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", bad)
     assert code == 3
     assert ">>" in err
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        ("C <> a b", "line 6, col 3: unknown operator '<>'"),
+        ("C a < b |", "line 6, col 1: empty disjunct"),
+        ("C", "line 6, col 1: empty clause"),
+        ("C a != b | c != d", "no common pivot among disequality disjuncts"),
+    ],
+)
+def test_malformed_clause_is_input_error(tmp_path, capsys, clause, message):
+    bad = tmp_path / "bad.qcsp"
+    bad.write_text(f"qcsp v1\nE a\nE b\nE c\nE d\n{clause}\n")
+    assert run(capsys, "solve", bad) == (3, "", f"input error: {message}\n")
 
 
 def test_not_pivoted_is_input_error(tmp_path, capsys):

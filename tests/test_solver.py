@@ -72,6 +72,8 @@ def test_solve_dialect_errors():
         solve(make_instance("E", [(0, [], None)]))
     with pytest.raises(DialectError):
         solve(make_general("EE", [[(0, "!=", 1)]]))
+    with pytest.raises(DialectError, match="lacks an order disjunct"):
+        solve(make_instance("EE", [(0, [1], None)]))
 
 
 @pytest.mark.parametrize("quants", ["EE", "EA", "AE", "AA"])
@@ -240,6 +242,13 @@ def test_compile_fresh_blocks_in_clause_order():
     inst = make_instance("EEEEE", [(0, [1, 2], 3), (1, [2, 3], None)])
     out = compile_to_mplus(inst)
     assert out.quants[5:] == ("E", "A", "E")  # h for clause 0, then z1 and h for clause 1
+
+
+def test_compile_renames_fresh_variables_on_a_clash():
+    inst = make_instance("EEEE", [(0, [1, 2], None)], names=["x", "_z0", "_h0_2", "_h0_2_1"])
+    out = compile_to_mplus(inst)
+    assert out.names[4:] == ("_z0_1", "_h0_2_2")
+    assert out.quants[4:] == ("A", "E")
 
 
 def test_compile_output_pinned():

@@ -86,3 +86,15 @@ def test_private_imports_come_from_their_home():
                 found += [f"{module}.py:{node.lineno} {a.name}" for a in node.names
                           if a.name.startswith("_") and a.name not in defined[node.module]]
     assert not found, f"private names imported through a re-export: {found}"
+
+
+def test_each_top_level_name_has_one_home():
+    # a function or class that two modules define at top level is one rule
+    # stated twice; the other module imports it from its home instead
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(path.name)
+    found = {name: files for name, files in homes.items() if len(files) > 1}
+    assert not found, f"top-level names defined in several modules: {found}"
