@@ -12,7 +12,7 @@ from operator import or_
 from typing import Optional
 
 from .formula import Atom, OhClause, QcspInstance, QfFormula, flip_order
-from .formula import _ge_ne_product, _mplus_chain, _subst  # shared private helpers
+from .formula import _ge_ne_product, _mplus_chain, _subst
 from .game import brute_solve
 from .orders import (
     OP_KEYS,
