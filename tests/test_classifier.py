@@ -597,3 +597,22 @@ def test_catalogue_structures():
     assert nae.defn.clauses == ((Atom(0, "!=", 1), Atom(0, "!=", 2)),)
     with pytest.raises(KeyError):
         catalogue("NOPE")
+
+
+def test_relation_lookup_pinned():
+    """One SHA-256 over ``arity_of`` and the ``repr`` (or the exception) of
+    ``catalogue`` for every catalogue name, every alias and a few NAE and
+    unknown spellings."""
+    import hashlib
+
+    from ordhorn.relations import ALIASES, arity_of
+
+    h = hashlib.sha256()
+    spellings = [*names(), *ALIASES, "NAE0", "NAE1", "NAE02", "NAE9", "NAE1234567890", "NOPE"]
+    for name in spellings:
+        try:
+            outcome = repr(catalogue(name))
+        except KeyError as exc:
+            outcome = f"KeyError: {exc}"
+        h.update(f"{name} {arity_of(name)} {outcome}\n".encode())
+    assert h.hexdigest() == "de7e8db71cebc35a4df199d1f6d32ff5bd6fcafe026d71e5ec1d7d71b2726eff"

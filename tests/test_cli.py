@@ -507,3 +507,17 @@ def test_any_bytes_exit_cleanly(tmp_path_factory, head, body):
     path.write_bytes(head + body)
     for command in _FILE_COMMANDS:
         assert main([command, str(path)]) in (0, 3, 4), command
+
+
+def test_brute_strategy_output_pinned(capsys):
+    """One SHA-256 over the exit code and stdout bytes of ``brute
+    --emit-strategy --json`` on every instance fixture, as given and
+    reversed: the strategy tree, its key order included."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.qcsp")):
+        for extra in ((), ("--reverse-order",)):
+            code, out, _ = run(capsys, "brute", path, "--emit-strategy", "--json", *extra)
+            h.update(f"{path.name} {extra} {code}\n{out}".encode())
+    assert h.hexdigest() == "5ccb5bb41e942ebd43a520c23237a0a1dbe5cf98a4682ec764995c5fffe459df"
