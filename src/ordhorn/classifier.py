@@ -19,6 +19,7 @@ from .orders import (
     ArityTooLarge,
     WeakOrder,
     apply_op,
+    dense_ranks,
     enumerate_marked_orders,
     enumerate_weak_orders,
     eval_qf,
@@ -60,12 +61,6 @@ def _guard_arity(r: TemporalRelation):
         )
 
 
-def _pattern(ranks, positions) -> tuple:
-    """The order of ``ranks`` on ``positions``, as dense ranks."""
-    levels = sorted({ranks[i] for i in positions})
-    return tuple(levels.index(ranks[i]) for i in positions)
-
-
 def _reads(op: str, t1: WeakOrder):
     """What ``apply_op(op, t1, t2)`` reads, by the key rules of ``OP_KEYS``.
 
@@ -77,7 +72,7 @@ def _reads(op: str, t1: WeakOrder):
     """
     rules = OP_KEYS[op][1]
     sides = op_sides(op, t1)
-    signature = (tuple(sides), _pattern(t1.ranks, [i for i, s in enumerate(sides) if 1 in rules[s]]))
+    signature = (tuple(sides), dense_ranks([r for r, s in zip(t1.ranks, sides) if 1 in rules[s]]))
     blocks = []
     for side, (primary, secondary) in enumerate(rules):
         on_side = [i for i, s in enumerate(sides) if s == side]
@@ -121,7 +116,7 @@ def is_preserved_by(r: TemporalRelation, op: str) -> _Check:
         if blocks not in representatives:
             first = {}
             for t2 in seconds:
-                first.setdefault(tuple(_pattern(t2.ranks, b) for b in blocks), t2)
+                first.setdefault(tuple(dense_ranks([t2.ranks[i] for i in b]) for b in blocks), t2)
             representatives[blocks] = list(first.values())
         for t2 in representatives[blocks]:
             if apply_op(op, t1, t2).ranks not in members:

@@ -17,6 +17,7 @@ from .formula import (
     NotPivotedError,
     ParseError,
     QcspInstance,
+    ResourceLimitError,
     decimal,
     flip_order,
     normalize,
@@ -24,7 +25,7 @@ from .formula import (
     parse_relation,
     print_instance,
 )
-from .game import ResourceLimitError, brute_solve, play_against
+from .game import brute_solve, play_against
 from .orders import ArityTooLarge
 from .proofsystem import StrategyUndefinedError, ep_move, saturate
 from .reductions import parse_dimacs, reduction_text

@@ -196,57 +196,61 @@ class QcspInstance:
 # parsing
 
 
-def _expand_disjunct(tokens, line_no, col, resolve, line):
+def _expand_disjunct(tokens, cols, line_no, resolve):
     """Expand one disjunct into a CNF (list of atom clauses).
 
     A plain atom yields one single-atom clause; a named relation application
     yields the relation's defining clauses instantiated at the arguments.
-    ``resolve`` maps a variable name to its index, or to None if undeclared.
+    ``cols[i]`` is the column of ``tokens[i]``.  ``resolve`` maps a variable
+    name to its index, or to None if undeclared.
     """
     from . import relations
 
-    def index(v):
-        ix = resolve(v)
+    def index(i):
+        ix = resolve(tokens[i])
         if ix is None:
-            raise ParseError(f"undeclared variable {v!r}", line_no, line.find(v) + 1)
+            raise ParseError(f"undeclared variable {tokens[i]!r}", line_no, cols[i])
         return ix
 
+    col = cols[0]
     if len(tokens) == 3 and tokens[1] in HOLDS:
-        a, op, b = tokens
-        return [(Atom(index(a), op, index(b)),)]
+        return [(Atom(index(0), tokens[1], index(2)),)]
     op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
         raise ParseError(f"{problem} operand for {op!r}", line_no, col)
     if len(tokens) >= 2 and all(ch in "=!<>" for ch in tokens[1]):
-        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, line.find(tokens[1]) + 1)
+        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, cols[1])
     name = tokens[0]
     arity = relations.arity_of(name)
     if arity is None:
         if all(ch in "=!<>" for ch in name):
             raise ParseError(f"unknown operator {name!r}", line_no, col)
         raise ParseError(f"unknown relation {name!r}", line_no, col)
-    args = tokens[1:]
-    if len(args) != arity:
+    if len(tokens) - 1 != arity:
         raise ParseError(
-            f"relation {name} expects {arity} arguments, got {len(args)}", line_no, col
+            f"relation {name} expects {arity} arguments, got {len(tokens) - 1}", line_no, col
         )
-    return _subst(relations.lookup(name).defn.clauses, [index(v) for v in args])
+    return _subst(relations.catalogue(name).defn.clauses, [index(i) for i in range(1, len(tokens))])
 
 
 def _parse_clause_line(body, line_no, resolve, line):
-    """Parse the body of a ``C`` line into general clauses.
+    """Parse the body of a ``C`` line, a suffix of ``line``, into general
+    clauses.
 
     Disjuncts whose expansion is itself a conjunction distribute over the
     hosting disjunction, so one line may contribute several clauses.
     """
-    parts = [p.strip() for p in body.split("|")]
-    if any(not p for p in parts):
+    parts = body.split("|")
+    if any(not p.strip() for p in parts):
         raise ParseError("empty disjunct", line_no, 1)
     expansions = []
+    start = len(line) - len(body)  # offset of the current part in line
     for part in parts:
-        col = line.find(part) + 1
-        expansions.append(_expand_disjunct(part.split(), line_no, col, resolve, line))
+        found = list(re.finditer(r"\S+", part))
+        cols = [start + m.start() + 1 for m in found]
+        expansions.append(_expand_disjunct([m[0] for m in found], cols, line_no, resolve))
+        start += len(part) + 1
     return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
 
 
@@ -286,7 +290,8 @@ def parse_instance(text: str) -> QcspInstance:
                 raise ParseError("expected one variable name", line_no, 1)
             name = tokens[1]
             if name in declared:
-                raise ParseError(f"duplicate variable {name!r}", line_no, line.find(name) + 1)
+                # the name ends the line, which is stripped on the right
+                raise ParseError(f"duplicate variable {name!r}", line_no, len(line) - len(name) + 1)
             declared[name] = len(names)
             names.append(name)
             quants.append(kind)

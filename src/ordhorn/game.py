@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .formula import HOLDS, QcspInstance, ResourceLimitError
-from .orders import WeakOrder
+from .orders import WeakOrder, dense_ranks
 
 
 class Move(NamedTuple):
@@ -157,42 +157,32 @@ def brute_solve(
             live = live_vars.get(bits)
             if live is None:
                 live = live_vars[bits] = tuple(v for v in range(next_var) if bits >> v & 1)
-            placed = [ranks[v] for v in live]
-            levels = sorted(set(placed))
-            if levels and levels[-1] >= len(levels):  # some level has no live variable
-                dense = {r: i for i, r in enumerate(levels)}
-                placed = [dense[r] for r in placed]
-            key = (next_var, tuple(still_open), tuple(placed))
+            placed = tuple([ranks[v] for v in live])
+            if placed and max(placed) >= len(set(placed)):  # some level has no live variable
+                placed = dense_ranks(placed)
+            key = (next_var, tuple(still_open), placed)
             if key in memo:
                 return (memo[key], None)
 
-        moves = legal_moves(n_levels)
-        if quants[next_var] == "E":
-            value, strat = False, None
-            for mv in moves:
-                ranks2 = list(ranks)
-                nl2 = play(ranks2, next_var, mv, n_levels)
-                sub, sub_strat = search(next_var + 1, ranks2, nl2, still_open)
-                if sub:
-                    value = True
-                    if emit_strategy:
-                        strat = {"var": inst.names[next_var], "move": mv.text(), "next": sub_strat}
-                    break
-        else:
-            value, branches = True, {}
-            for mv in moves:
-                ranks2 = list(ranks)
-                nl2 = play(ranks2, next_var, mv, n_levels)
-                sub, sub_strat = search(next_var + 1, ranks2, nl2, still_open)
-                if not sub:
-                    value = False
-                    break
-                if emit_strategy:
-                    branches[mv.text()] = sub_strat
-            strat = {"var": inst.names[next_var], "branches": branches} if emit_strategy else None
+        # E loses and A wins unless some move flips that; the first one decides
+        value, branches = quants[next_var] == "A", {}
+        for mv in legal_moves(n_levels):
+            ranks2 = list(ranks)
+            nl2 = play(ranks2, next_var, mv, n_levels)
+            sub, sub_strat = search(next_var + 1, ranks2, nl2, still_open)
+            if emit_strategy and sub:
+                branches[mv.text()] = sub_strat
+            if sub != value:
+                value = sub
+                break
         if key is not None:
             memo[key] = value
-        return (value, strat if value else None)
+        if not (value and emit_strategy):
+            return (value, None)
+        if quants[next_var] == "E":  # its one winning branch
+            move, sub_strat = branches.popitem()
+            return (True, {"var": inst.names[next_var], "move": move, "next": sub_strat})
+        return (True, {"var": inst.names[next_var], "branches": branches})
 
     ranks = list(prefix) + [None] * (n - start)
     try:

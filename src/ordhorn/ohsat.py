@@ -84,9 +84,6 @@ class OhConjunction:
 class SatResult:
     model: WeakOrder
 
-    def __bool__(self):
-        return True
-
 
 @dataclass
 class UnsatResult:
@@ -210,7 +207,7 @@ class ClauseSet:
         self.n, self.order = n, order
         self.at = {v: i for i, v in enumerate(order)}
         self.pmasks, self.targets, self.by_pivot, self.slots = [], [], {}, {}
-        self.edges, self.units = [], set()  # each unit as (target, pivot) and (pivot, target)
+        self.edges = {}  # each unit t <= p as the key (t, p), in insertion order
         self.pivots = 0  # the mask of the pivots that have had an indexed clause
         self.memo = {}
 
@@ -223,13 +220,12 @@ class ClauseSet:
                 raise ValueError("a clause without partners needs an order disjunct")
             if memo and not memo["up"][t] >> p & 1:
                 memo.clear()  # a new edge t <= p may move the base fixpoint
-            self.edges.append((t, p))
-            self.units.add((p, t))
+            self.edges[t, p] = None
             slot = self.slots.pop((p, t), None)
             if slot is not None:  # entailed by the unit from now on
                 self.by_pivot[p].remove(slot)
             return
-        if derived and (p, t) in self.units:
+        if derived and (t, p) in self.edges:
             return  # the unit already subsumes it
         slot = self.slots.get((p, t))
         if memo:

@@ -37,6 +37,12 @@ class ArityTooLarge(ValueError):
     pass
 
 
+def dense_ranks(values) -> tuple:
+    """The order type of ``values`` as dense ranks 0, 1, ..., lowest first."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(rank[v] for v in values)
+
+
 @dataclass(frozen=True)
 class WeakOrder:
     """An ordered partition of positions, lowest level first.
@@ -69,9 +75,7 @@ class WeakOrder:
     @classmethod
     def from_values(cls, values) -> "WeakOrder":
         """Order type of a tuple of rationals."""
-        vals = sorted(set(values))
-        remap = {v: i for i, v in enumerate(vals)}
-        return cls(tuple(remap[v] for v in values))
+        return cls(dense_ranks(values))
 
 
 def eval_clause(clause, ranks) -> bool:
@@ -161,8 +165,7 @@ def apply_op(op: str, t1: WeakOrder, t2: WeakOrder) -> WeakOrder:
     for i, side in enumerate(op_sides(op, t1)):
         primary, secondary = rules[side]
         keys.append((side, source[primary][i], source[secondary][i]))
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return WeakOrder(tuple(order[k] for k in keys))
+    return WeakOrder(dense_ranks(keys))
 
 
 def relation_of(f: QfFormula):

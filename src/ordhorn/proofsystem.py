@@ -41,7 +41,6 @@ class Fact:
 
 @dataclass
 class FactBase:
-    n: int
     names: tuple
     minimal: dict  # (x, z) -> list of universal-variable bitmasks, an antichain
     status: str  # "complete" | "bottom" | "cap"
@@ -61,9 +60,6 @@ class FactBase:
         for v in members:
             m |= 1 << v
         return m in self.minimal.get((x, z), ())
-
-    def has_empty(self, x, z) -> bool:
-        return 0 in self.minimal.get((x, z), ())
 
     def minimal_count(self, x, z) -> int:
         return len(self.minimal.get((x, z), ()))
@@ -106,7 +102,7 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
     empty_out = {}  # x -> list of z with P(x, z; {})
     queue = deque()
     count = 0
-    base = FactBase(n, inst.names, minimal, "complete", 0)
+    base = FactBase(inst.names, minimal, "complete", 0)
 
     def insert(x, z, mask):
         """Simplify, prune by the antichain, store, and check refutation.
@@ -237,7 +233,7 @@ def ep_move(inst: QcspInstance, facts: FactBase, partial: WeakOrder, x: int) -> 
     ranks = partial.ranks
     if len(ranks) != x:
         raise ValueError("all variables before x must be assigned")
-    y0_levels = {ranks[y] for y in range(x) if facts.has_empty(x, y)}
+    y0_levels = {ranks[y] for y in range(x) if facts.has(x, y, ())}
     m = max(y0_levels, default=None)
     eq_levels = set()
     for y in range(x):

@@ -77,22 +77,16 @@ def arity_of(name: str) -> Optional[int]:
     return k if k >= 2 else None
 
 
-def lookup(name: str) -> Optional[TemporalRelation]:
-    """Resolve a relation name, or None if unknown."""
-    k = arity_of(name)
-    name = ALIASES.get(name, name)
-    if k is None or name in _CATALOGUE:
-        return _CATALOGUE.get(name)
-    clause = tuple(Atom(0, "!=", i) for i in range(1, k))
-    return TemporalRelation(k, QfFormula(k, (clause,)), name)
-
-
 def catalogue(name: str) -> TemporalRelation:
     """Resolve a relation name; raise KeyError for unknown names."""
-    rel = lookup(name)
-    if rel is None:
+    k = arity_of(name)
+    if k is None:
         raise KeyError(f"unknown relation {name!r}")
-    return rel
+    name = ALIASES.get(name, name)
+    if name in _CATALOGUE:
+        return _CATALOGUE[name]
+    clause = tuple(Atom(0, "!=", i) for i in range(1, k))
+    return TemporalRelation(k, QfFormula(k, (clause,)), name)
 
 
 def names():

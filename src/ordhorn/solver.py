@@ -148,7 +148,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     starts = [len(univ) - mask.bit_count() for _, mask in G]
 
     clauses = ClauseSet(n, univ)
-    units = clauses.units
+    edges = clauses.edges
     # the distinct matrix clauses as (pivot, partner mask, target), in order
     inputs = dict.fromkeys((c.pivot, sum(1 << q for q in c.partners), c.target) for c in inst.matrix)
     for clause in inputs:
@@ -160,7 +160,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     known = {}
 
     def rejects(x, z) -> bool:
-        return x < z and quants[z] == "A" and ((x, z) in units or (z, x) in units)
+        return x < z and quants[z] == "A" and ((x, z) in edges or (z, x) in edges)
 
     def probe(x, z, g) -> bool:
         """True iff phi with x equated to the upward set G[g] and x < z is UNSAT."""
@@ -174,7 +174,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         """True, or false with the unit clause that rejects the pair."""
         unit = None
         if pair is not None:
-            x, z = pair if pair in units else pair[::-1]
+            x, z = pair if pair[::-1] in edges else pair[::-1]
             unit = OhClause(x, frozenset(), z)
         return Verdict(pair is None, log, unit, pair, oracle_calls, pass_no, inst.matrix, inst.names)
 

@@ -46,6 +46,23 @@ def test_parse_unknown_operator_is_syntax_error():
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("E a\nE zz\nC a < zz | a < z", 4, 16, "undeclared variable 'z'"),
+        ("E A\nA A", 3, 3, "duplicate variable 'A'"),
+        ("E bb\nE b\nC bb < b | b", 4, 12, "unknown relation 'b'"),
+        ("E x<<\nC x<< < x<< | x<< << x<<", 3, 19, "unknown operator '<<'"),
+        ("E a\nC a < a | a <", 3, 11, "missing operand for '<'"),
+    ],
+)
+def test_parse_error_names_the_token_column(text, line, col, message):
+    # each case has an earlier copy of the offending text on its line
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"qcsp v1\n{text}\n")
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_instance("nonsense\n")

@@ -66,9 +66,9 @@ def test_only_ohsat_touches_the_probe_memo():
     assert not found, f"probe memo used outside ohsat: {found}"
 
 
-def test_private_imports_come_from_their_home():
-    # a private name is imported from the module that defines it, not
-    # through another module's import of it
+def test_relative_imports_name_their_home():
+    # every name, public or private, is imported from the module that
+    # defines it, not through another module's import of it
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     defined = {}
     for module, tree in trees.items():
@@ -84,8 +84,8 @@ def test_private_imports_come_from_their_home():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 found += [f"{module}.py:{node.lineno} {a.name}" for a in node.names
-                          if a.name.startswith("_") and a.name not in defined[node.module]]
-    assert not found, f"private names imported through a re-export: {found}"
+                          if a.name not in defined[node.module]]
+    assert not found, f"names imported through a re-export: {found}"
 
 
 def test_each_top_level_name_has_one_home():
