@@ -196,42 +196,48 @@ class QcspInstance:
 # parsing
 
 
-def _expand_disjunct(tokens, cols, line_no, resolve):
-    """Expand one disjunct into a CNF (list of atom clauses).
+def _expand_disjunct(part, start, line_no, resolve):
+    """Expand one disjunct, the text ``part`` found at offset ``start`` of
+    its line, into a CNF (list of atom clauses).
 
     A plain atom yields one single-atom clause; a named relation application
     yields the relation's defining clauses instantiated at the arguments.
-    ``cols[i]`` is the column of ``tokens[i]``.  ``resolve`` maps a variable
-    name to its index, or to None if undeclared.
+    ``resolve`` maps a variable name to its index, or to None if undeclared.
     """
     from . import relations
+
+    tokens = part.split()
+
+    def col(i):
+        """The column of ``tokens[i]`` in the line."""
+        return start + [m.start() for m in re.finditer(r"\S+", part)][i] + 1
 
     def index(i):
         ix = resolve(tokens[i])
         if ix is None:
-            raise ParseError(f"undeclared variable {tokens[i]!r}", line_no, cols[i])
+            raise ParseError(f"undeclared variable {tokens[i]!r}", line_no, col(i))
         return ix
 
-    col = cols[0]
     if len(tokens) == 3 and tokens[1] in HOLDS:
         return [(Atom(index(0), tokens[1], index(2)),)]
     op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
-        raise ParseError(f"{problem} operand for {op!r}", line_no, col)
+        raise ParseError(f"{problem} operand for {op!r}", line_no, col(0))
     if len(tokens) >= 2 and all(ch in "=!<>" for ch in tokens[1]):
-        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, cols[1])
+        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, col(1))
     name = tokens[0]
     arity = relations.arity_of(name)
     if arity is None:
         if all(ch in "=!<>" for ch in name):
-            raise ParseError(f"unknown operator {name!r}", line_no, col)
-        raise ParseError(f"unknown relation {name!r}", line_no, col)
-    if len(tokens) - 1 != arity:
+            raise ParseError(f"unknown operator {name!r}", line_no, col(0))
+        raise ParseError(f"unknown relation {name!r}", line_no, col(0))
+    args = range(1, len(tokens))
+    if len(args) != arity:
         raise ParseError(
-            f"relation {name} expects {arity} arguments, got {len(tokens) - 1}", line_no, col
+            f"relation {name} expects {arity} arguments, got {len(args)}", line_no, col(0)
         )
-    return _subst(relations.catalogue(name).defn.clauses, [index(i) for i in range(1, len(tokens))])
+    return _subst(relations.catalogue(name).defn.clauses, [index(i) for i in args])
 
 
 def _parse_clause_line(body, line_no, resolve, line):
@@ -247,9 +253,7 @@ def _parse_clause_line(body, line_no, resolve, line):
     expansions = []
     start = len(line) - len(body)  # offset of the current part in line
     for part in parts:
-        found = list(re.finditer(r"\S+", part))
-        cols = [start + m.start() + 1 for m in found]
-        expansions.append(_expand_disjunct([m[0] for m in found], cols, line_no, resolve))
+        expansions.append(_expand_disjunct(part, start, line_no, resolve))
         start += len(part) + 1
     return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
 
