@@ -357,6 +357,47 @@ def test_elim_min_random_oh_inputs():
         assert all(sum(a.op == ">=" for a in c) <= 1 for c in out.clauses)
 
 
+def _random_order_block_formula(rng):
+    """1-3 clauses over 2-4 positions, 1-4 atoms each; each clause leans
+    towards order disjuncts on one pivot, written as >= or as <=."""
+    n = rng.randint(2, 4)
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        pivot = rng.randrange(n)
+        clause = []
+        for _ in range(rng.randint(1, 4)):
+            other = rng.randrange(n)
+            r = rng.random()
+            if r < 0.4:
+                clause.append(Atom(pivot, ">=", other))
+            elif r < 0.55:
+                clause.append(Atom(other, "<=", pivot))
+            else:
+                clause.append(Atom(rng.randrange(n), rng.choice(ATOM_OPS), other))
+        clauses.append(tuple(clause))
+    return QfFormula(n, tuple(clauses))
+
+
+def test_elim_min_output_pinned():
+    """One SHA-256 over the ``repr`` of ``elim_min``, or the exception's
+    type and message, on 1,000 seeded random formulas."""
+    import hashlib
+
+    rng = random.Random(2525)
+    h = hashlib.sha256()
+    outcomes = []
+    for _ in range(1000):
+        try:
+            outcome = repr(elim_min(_random_order_block_formula(rng)))
+        except (ValueError, RuntimeError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        outcomes.append(outcome.split(":")[0].split("(")[0])
+        h.update(f"{outcome}\n".encode())
+    counts = (outcomes.count("QfFormula"), outcomes.count("ValueError"), outcomes.count("NoValidIndexError"))
+    assert counts == (650, 272, 78)
+    assert h.hexdigest() == "244f11c34fe8b52d724dfb47926e6f549588b2fcec6e36cd3c3548db67cce3f0"
+
+
 # --- the pp-definition ladder --------------------------------------------------
 
 
