@@ -345,28 +345,23 @@ def elim_min(f: QfFormula) -> QfFormula:
     admit one.
     """
     reference = relation_of(f)
-    clauses = [list(_oriented(c)) for c in f.clauses]
-    out = []
-    for ci, clause in enumerate(clauses):
-        ge = [a for a in clause if a.op == ">="]
-        rest = [a for a in clause if a.op != ">="]
-        distinct_targets = list(dict.fromkeys(ge))
-        if len(distinct_targets) <= 1:
-            out.append(tuple(rest + distinct_targets))
+    blocks = []  # (other disjuncts, distinct order disjuncts) per clause
+    for c in f.clauses:
+        oriented = _oriented(c)
+        targets = tuple(dict.fromkeys(a for a in oriented if a.op == ">="))
+        blocks.append((tuple(a for a in oriented if a.op != ">="), targets))
+    out = [rest + targets for rest, targets in blocks]
+    for ci, (rest, targets) in enumerate(blocks):
+        if len(targets) <= 1:
             continue
-        if len({a.left for a in distinct_targets}) > 1:
+        if len({a.left for a in targets}) > 1:
             raise ValueError("order disjuncts in one clause have different pivots")
-        chosen = None
-        for cand in distinct_targets:
-            trial = [tuple(c) for c in out]
-            trial.append(tuple(rest + [cand]))
-            trial.extend(tuple(c) for c in clauses[ci + 1 :])
-            if relation_of(QfFormula(f.arity, tuple(trial))) == reference:
-                chosen = cand
+        for cand in targets:
+            out[ci] = rest + (cand,)
+            if relation_of(QfFormula(f.arity, tuple(out))) == reference:
                 break
-        if chosen is None:
+        else:
             raise NoValidIndexError("no single order disjunct preserves the relation")
-        out.append(tuple(rest + [chosen]))
     result = QfFormula(f.arity, tuple(out))
     if relation_of(result) != reference:
         raise RuntimeError("elimination changed the relation")

@@ -144,9 +144,6 @@ class OhClause:
     def key(self):
         return (self.pivot, tuple(sorted(self.partners)), self.target)
 
-    def is_unit(self) -> bool:
-        return not self.partners and self.target is not None
-
     def is_false(self) -> bool:
         return not self.partners and self.target is None
 
@@ -188,12 +185,15 @@ class QcspInstance:
         """Matrix as atom clauses, regardless of dialect."""
         return tuple(c.atoms() if isinstance(c, OhClause) else c for c in self.matrix)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def _column(text, i, start=0):
+    """The column, in a line, of the i-th whitespace-separated token of
+    ``text`` found at offset ``start`` of that line."""
+    return start + [m.start() for m in re.finditer(r"\S+", text)][i] + 1
 
 
 def _expand_disjunct(part, start, line_no, resolve):
@@ -208,14 +208,10 @@ def _expand_disjunct(part, start, line_no, resolve):
 
     tokens = part.split()
 
-    def col(i):
-        """The column of ``tokens[i]`` in the line."""
-        return start + [m.start() for m in re.finditer(r"\S+", part)][i] + 1
-
     def index(i):
         ix = resolve(tokens[i])
         if ix is None:
-            raise ParseError(f"undeclared variable {tokens[i]!r}", line_no, col(i))
+            raise ParseError(f"undeclared variable {tokens[i]!r}", line_no, _column(part, i, start))
         return ix
 
     if len(tokens) == 3 and tokens[1] in HOLDS:
@@ -223,36 +219,37 @@ def _expand_disjunct(part, start, line_no, resolve):
     op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
-        raise ParseError(f"{problem} operand for {op!r}", line_no, col(0))
+        raise ParseError(f"{problem} operand for {op!r}", line_no, _column(part, 0, start))
     if len(tokens) >= 2 and all(ch in "=!<>" for ch in tokens[1]):
-        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, col(1))
+        raise ParseError(f"unknown operator {tokens[1]!r}", line_no, _column(part, 1, start))
     name = tokens[0]
     arity = relations.arity_of(name)
     if arity is None:
         if all(ch in "=!<>" for ch in name):
-            raise ParseError(f"unknown operator {name!r}", line_no, col(0))
-        raise ParseError(f"unknown relation {name!r}", line_no, col(0))
+            raise ParseError(f"unknown operator {name!r}", line_no, _column(part, 0, start))
+        raise ParseError(f"unknown relation {name!r}", line_no, _column(part, 0, start))
     args = range(1, len(tokens))
     if len(args) != arity:
         raise ParseError(
-            f"relation {name} expects {arity} arguments, got {len(args)}", line_no, col(0)
+            f"relation {name} expects {arity} arguments, got {len(args)}", line_no, _column(part, 0, start)
         )
     return _subst(relations.catalogue(name).defn.clauses, [index(i) for i in args])
 
 
-def _parse_clause_line(body, line_no, resolve, line):
-    """Parse the body of a ``C`` line, a suffix of ``line``, into general
-    clauses.
+def _parse_clause_line(line, line_no, resolve):
+    """Parse a ``C`` line, stripped on the right, into general clauses.
 
     Disjuncts whose expansion is itself a conjunction distribute over the
     hosting disjunction, so one line may contribute several clauses.
     """
-    parts = body.split("|")
-    if any(not p.strip() for p in parts):
-        raise ParseError("empty disjunct", line_no, 1)
+    body = line.split(None, 1)[1:]
+    if not body:
+        raise ParseError("empty clause", line_no, 1)
     expansions = []
-    start = len(line) - len(body)  # offset of the current part in line
-    for part in parts:
+    start = len(line) - len(body[0])  # offset of the current part in line
+    for part in body[0].split("|"):
+        if not part.strip():
+            raise ParseError("empty disjunct", line_no, start + 1)
         expansions.append(_expand_disjunct(part, start, line_no, resolve))
         start += len(part) + 1
     return [sum(pick, ()) for pick in _distribute(expansions, line_no)]
@@ -294,18 +291,14 @@ def parse_instance(text: str) -> QcspInstance:
                 raise ParseError("expected one variable name", line_no, 1)
             name = tokens[1]
             if name in declared:
-                # the name ends the line, which is stripped on the right
-                raise ParseError(f"duplicate variable {name!r}", line_no, len(line) - len(name) + 1)
+                raise ParseError(f"duplicate variable {name!r}", line_no, _column(line, 1))
             declared[name] = len(names)
             names.append(name)
             quants.append(kind)
         elif kind == "C":
-            body = line.split(None, 1)
-            if len(body) < 2:
-                raise ParseError("empty clause", line_no, 1)
-            matrix.extend(_parse_clause_line(body[1], line_no, declared.get, line))
+            matrix.extend(_parse_clause_line(line, line_no, declared.get))
         else:
-            raise ParseError(f"unknown directive {kind!r}", line_no, 1)
+            raise ParseError(f"unknown directive {kind!r}", line_no, _column(line, 0))
     return QcspInstance(tuple(names), tuple(quants), tuple(matrix))
 
 
@@ -343,12 +336,9 @@ def parse_relation(text: str):
         elif tokens[0] == "C":
             if arity is None:
                 raise ParseError("arity must precede clauses", line_no, 1)
-            if len(tokens) < 2:
-                raise ParseError("empty clause", line_no, 1)
-            body = line.split(None, 1)[1]
-            clauses.extend(_parse_clause_line(body, line_no, position, line))
+            clauses.extend(_parse_clause_line(line, line_no, position))
         else:
-            raise ParseError(f"unknown directive {tokens[0]!r}", line_no, 1)
+            raise ParseError(f"unknown directive {tokens[0]!r}", line_no, _column(line, 0))
     if arity is None:
         raise ParseError("missing arity line", 1, 1)
     return TemporalRelation(arity, QfFormula(arity, tuple(clauses)), name)

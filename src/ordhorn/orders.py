@@ -58,9 +58,6 @@ class WeakOrder:
     def n(self) -> int:
         return len(self.ranks)
 
-    def n_levels(self) -> int:
-        return len(self.levels())
-
     def levels(self):
         """Positions per level, lowest first; the zero marker appears as 'z'."""
         vals = sorted(set(self.ranks) | ({self.zero_rank} if self.zero_rank is not None else set()))
@@ -71,11 +68,6 @@ class WeakOrder:
                 lev.append("z")
             out.append(lev)
         return out
-
-    @classmethod
-    def from_values(cls, values) -> "WeakOrder":
-        """Order type of a tuple of rationals."""
-        return cls(dense_ranks(values))
 
 
 def eval_clause(clause, ranks) -> bool:

@@ -47,9 +47,6 @@ class FactBase:
     fact_count: int
     bottom_fact: Optional[tuple] = None
 
-    def __bool__(self):
-        return self.status == "complete"
-
     def facts(self):
         for (x, z), masks in sorted(self.minimal.items()):
             for m in sorted(masks):
@@ -60,9 +57,6 @@ class FactBase:
         for v in members:
             m |= 1 << v
         return m in self.minimal.get((x, z), ())
-
-    def minimal_count(self, x, z) -> int:
-        return len(self.minimal.get((x, z), ()))
 
     def dump(self) -> str:
         lines = []

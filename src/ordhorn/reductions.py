@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import ParseError, QcspInstance, decimal, parse_instance
+from .formula import ParseError, QcspInstance, _column, decimal, parse_instance
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,11 @@ def parse_dimacs(text: str) -> Cnf3:
             continue
         if n is None:
             raise ParseError("clause before header", line_no, 1)
-        for tok in line.split():
+        for i, tok in enumerate(line.split()):
             try:
                 lit = decimal(tok)
             except ValueError:
-                raise ParseError(f"bad literal {tok!r}", line_no, 1)
+                raise ParseError(f"bad literal {tok!r}", line_no, _column(raw, i))
             if lit == 0:
                 if not pending:
                     raise ParseError("zero-length clause", line_no, 1)
@@ -71,7 +71,7 @@ def parse_dimacs(text: str) -> Cnf3:
                 pending = []
             else:
                 if abs(lit) > n:
-                    raise ParseError(f"literal {lit} out of range", line_no, 1)
+                    raise ParseError(f"literal {lit} out of range", line_no, _column(raw, i))
                 pending.append(lit)
                 pending_line = line_no
     if n is None:

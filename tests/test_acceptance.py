@@ -181,7 +181,7 @@ def test_criterion_06_exponential_vs_polynomial():
         inst = parallel_chain(n)
         facts = saturate(inst, cap=10**6)
         assert facts.status == "complete"
-        assert facts.minimal_count(0, inst.n_vars - 1) == 2**n
+        assert len(facts.minimal[0, inst.n_vars - 1]) == 2**n
 
     sizes = [5, 10, 20, 30, 40]
     calls = []

@@ -30,6 +30,7 @@ from ordhorn.game import ResourceLimitError
 from ordhorn.orders import (
     WeakOrder,
     apply_op,
+    dense_ranks,
     enumerate_marked_orders,
     enumerate_weak_orders,
     eval_qf,
@@ -98,7 +99,7 @@ def test_d_violates_pp_with_validated_witness():
     res = is_preserved_by(catalogue("D"), "pp")
     assert not res
     f = catalogue("D").defn
-    doc_t1 = WeakOrder.from_values((1, 2, 0))
+    doc_t1 = WeakOrder(dense_ranks((1, 2, 0)))
     doc_t1 = WeakOrder(doc_t1.ranks, zero_rank=doc_t1.ranks[2])
     doc_t2 = WeakOrder((0, 0, 0))
     assert eval_qf(f, doc_t1) and eval_qf(f, doc_t2)

@@ -340,7 +340,7 @@ def test_syntax_error_is_input_error(tmp_path, capsys):
     "clause, message",
     [
         ("C <> a b", "line 6, col 3: unknown operator '<>'"),
-        ("C a < b |", "line 6, col 1: empty disjunct"),
+        ("C a < b |", "line 6, col 10: empty disjunct"),
         ("C", "line 6, col 1: empty clause"),
         ("C a != b | c != d", "no common pivot among disequality disjuncts"),
     ],

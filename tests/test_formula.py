@@ -1,6 +1,7 @@
 """Parsing, printing, and normalization."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,12 +55,22 @@ def test_parse_unknown_operator_is_syntax_error():
         ("E bb\nE b\nC bb < b | b", 4, 12, "unknown relation 'b'"),
         ("E x<<\nC x<< < x<< | x<< << x<<", 3, 19, "unknown operator '<<'"),
         ("E a\nC a < a | a <", 3, 11, "missing operand for '<'"),
+        ("E a\nE b\nC a < b |", 4, 10, "empty disjunct"),
+        ("E a\nC | a < a", 3, 3, "empty disjunct"),
+        ("rel v1\narity 2\nC x1 < x2 |", 3, 12, "empty disjunct"),
+        ("E a\nC a < zz |", 3, 7, "undeclared variable 'zz'"),
+        ("  X a", 2, 3, "unknown directive 'X'"),
+        ("p cnf 3 1\n1 x 0", 2, 3, "bad literal 'x'"),
+        ("p cnf 2 1\n  1 -2 3 0", 2, 8, "literal 3 out of range"),
     ],
 )
 def test_parse_error_names_the_token_column(text, line, col, message):
-    # each case has an earlier copy of the offending text on its line
+    # the column is where the offending text starts, not where its line
+    # does; most cases have an earlier copy of that text on its line.
+    # Relation and DIMACS cases carry their header, instance cases do not.
+    parse = {"rel": parse_relation, "p": parse_dimacs}.get(text.split()[0])
     with pytest.raises(ParseError) as exc:
-        parse_instance(f"qcsp v1\n{text}\n")
+        parse(f"{text}\n") if parse else parse_instance(f"qcsp v1\n{text}\n")
     assert str(exc.value) == f"line {line}, col {col}: {message}"
 
 
@@ -72,6 +83,8 @@ def test_parse_errors():
         parse_instance("qcsp v1\nE x\nE y\nC M+ x y\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_instance("qcsp v1\nE x\nA x\n")
+    with pytest.raises(ParseError, match="expected one variable name"):
+        parse_instance("qcsp v1\nE a b\n")
     with pytest.raises(ParseError, match="unknown relation"):
         parse_instance("qcsp v1\nE x\nC FOO x\n")
     with pytest.raises(ParseError, match="unknown relation"):
@@ -348,8 +361,8 @@ _WORDS = _NAMES + _OPS + _RELATIONS + (
 @st.composite
 def grammar_texts(draw):
     """A header and lines shaped like one file format's directives, with
-    loose tokens mixed in; the names, relations and operators include
-    undeclared, unknown and malformed ones."""
+    loose tokens mixed in and any line indented; the names, relations and
+    operators include undeclared, unknown and malformed ones."""
     integer = st.integers(-(10**7), 10**7).map(str)
     name = st.sampled_from(_NAMES)
     atom = st.tuples(name, st.sampled_from(_OPS), name).map(" ".join)
@@ -370,18 +383,30 @@ def grammar_texts(draw):
             ]
         )
     )
-    line = st.one_of(*directives, *directives, loose)
+    indent = st.sampled_from(("", "", " ", "  ", "\t"))
+    line = st.tuples(indent, st.one_of(*directives, *directives, loose)).map("".join)
     lines = draw(st.lists(line, max_size=8))
     if draw(st.integers(0, 9)) == 0:
         header = draw(loose)
-    return "\n".join([header] + lines)
+    return "\n".join([draw(indent) + header] + lines)
+
+
+_QUOTES_TOKEN = re.compile(
+    r"line (\d+), col (\d+): (?:undeclared variable|unknown relation|unknown operator"
+    r"|duplicate variable|unknown directive|bad literal) '(.*)'"
+)
 
 
 @settings(max_examples=500, deadline=None)
 @given(grammar_texts())
 def test_parsers_accept_or_raise_parse_error(text):
+    # an error that quotes a token names the column where that token starts
+    lines = text.splitlines()
     for parse in (parse_instance, parse_relation, parse_dimacs):
         try:
             parse(text)
-        except ParseError:
-            pass
+        except ParseError as exc:
+            quoted = _QUOTES_TOKEN.fullmatch(str(exc))
+            if quoted:
+                line, col, token = int(quoted[1]), int(quoted[2]), quoted[3]
+                assert lines[line - 1][col - 1 :].startswith(token), (str(exc), text)

@@ -122,11 +122,11 @@ def test_chain_fact_counts():
         inst = parallel_chain(n)
         facts = saturate(inst)
         assert facts.status == "complete"
-        assert facts.minimal_count(0, inst.n_vars - 1) == 2**n
+        assert len(facts.minimal[0, inst.n_vars - 1]) == 2**n
         # the four incomparable endpoint sets at n = 2 are the label choices
         if n == 2:
             for i, j in itertools.product((0, 1), repeat=2):
-                assert facts.has(0, 6, [inst.index(f"y1_{i}"), inst.index(f"y2_{j}")])
+                assert facts.has(0, 6, [inst.names.index(f"y1_{i}"), inst.names.index(f"y2_{j}")])
 
 
 def test_cap_exceeded():

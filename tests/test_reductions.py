@@ -34,6 +34,8 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 1 1\n2 2 2 0\n")
     with pytest.raises(ParseError, match="more than 3"):
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
+    with pytest.raises(ParseError, match="malformed DIMACS header"):
+        parse_dimacs("p cnf x 1\n")
     with pytest.raises(ParseError, match="negative variable count"):
         parse_dimacs("p cnf -1 0\n")
     with pytest.raises(ParseError, match="duplicate DIMACS header"):

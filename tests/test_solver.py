@@ -81,7 +81,7 @@ def test_pivot_listed_among_partners(quants):
     # x != x | x >= y is the unit x >= y: the pivot is no partner
     for pivot in (0, 1):
         inst = make_instance(quants, [(pivot, [pivot], 1 - pivot)])
-        assert inst.matrix[0].is_unit()
+        assert inst.matrix[0] == OhClause(pivot, frozenset(), 1 - pivot)
         assert solve(inst).value == brute_solve(inst).value, (quants, pivot)
 
 
