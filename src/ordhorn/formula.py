@@ -242,12 +242,12 @@ def _parse_clause_line(line, line_no, resolve):
     Disjuncts whose expansion is itself a conjunction distribute over the
     hosting disjunction, so one line may contribute several clauses.
     """
-    body = line.split(None, 1)[1:]
+    body = line.lstrip()[1:].lstrip()  # what follows the directive's C
     if not body:
         raise ParseError("empty clause", line_no, 1)
     expansions = []
-    start = len(line) - len(body[0])  # offset of the current part in line
-    for part in body[0].split("|"):
+    start = len(line) - len(body)  # offset of the current part in line
+    for part in body.split("|"):
         if not part.strip():
             raise ParseError("empty disjunct", line_no, start + 1)
         expansions.append(_expand_disjunct(part, start, line_no, resolve))
