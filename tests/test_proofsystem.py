@@ -198,6 +198,31 @@ def test_saturate_output_pinned():
     assert h.hexdigest() == "74a3c300042fd78991e03e3670bab354b7799032e5a9c8302906c2aa32c9ad6e"
 
 
+def test_saturate_fixpoint_pinned():
+    """One SHA-256 over what the least fixpoint fixes, whatever the join
+    order: each uncapped run's status and, for a complete run, its fact count
+    and sorted minimal antichains.  The family is the output pin's at cap
+    10**5, plus parallel_chain(1..7)."""
+    import hashlib
+
+    from ordhorn.generators import exhaustive_mplus_instances
+
+    rng = random.Random(4040)
+    randoms = [random_mplus_instance(rng, max_vars=7, max_clauses=8) for _ in range(500)]
+    runs = [*exhaustive_mplus_instances(3, 3), *randoms, *(parallel_chain(k) for k in range(1, 8))]
+    h = hashlib.sha256()
+    statuses = {"complete": 0, "bottom": 0}
+    for inst in runs:
+        got = saturate(inst, cap=10**5)
+        statuses[got.status] += 1
+        record = (got.status,)
+        if got.status == "complete":
+            record += (got.fact_count, sorted((pair, sorted(masks)) for pair, masks in got.minimal.items()))
+        h.update(repr(record).encode())
+    assert statuses == {"complete": 822, "bottom": 1021}
+    assert h.hexdigest() == "dcc363c9461e08d1c9bdaa93d3822feb651ca7ed6cb04d208c33af9698cfa750"
+
+
 def test_bottom_implies_solver_false():
     rng = random.Random(3232)
     hits = 0
