@@ -70,10 +70,13 @@ def _load_instance(args) -> QcspInstance:
     return inst
 
 
+def _compiled(args) -> QcspInstance:
+    """The loaded instance, normalized and compiled to M+."""
+    return compile_to_mplus(normalize(_load_instance(args)))
+
+
 def _cmd_solve(args):
-    inst = _load_instance(args)
-    compiled = compile_to_mplus(normalize(inst))
-    verdict = solve(compiled, max_probes=args.max_probes)
+    verdict = solve(_compiled(args), max_probes=args.max_probes)
     if args.json:
         print(json.dumps(verdict.to_json_dict(), indent=2))
     else:
@@ -100,7 +103,7 @@ def _cmd_brute(args):
 
 def _saturated(args):
     """The compiled instance and its saturated facts; exit 4 past the cap."""
-    compiled = compile_to_mplus(normalize(_load_instance(args)))
+    compiled = _compiled(args)
     facts = saturate(compiled, cap=args.cap)
     if facts.status == "cap":
         raise ResourceLimitError(f"fact cap {args.cap} exceeded")
@@ -110,16 +113,9 @@ def _saturated(args):
 def _cmd_derive(args):
     _, facts = _saturated(args)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "bottom": facts.status == "bottom",
-                    "fact_count": facts.fact_count,
-                    "facts": facts.dump().splitlines(),
-                },
-                indent=2,
-            )
-        )
+        out = {"bottom": facts.status == "bottom", "fact_count": facts.fact_count}
+        out["facts"] = facts.dump().splitlines()
+        print(json.dumps(out, indent=2))
     else:
         if not args.quiet:
             sys.stdout.write(facts.dump())
@@ -152,7 +148,7 @@ def _write(text, output):
 
 
 def _cmd_compile(args):
-    return _write(print_instance(compile_to_mplus(normalize(_load_instance(args)))), args.output)
+    return _write(print_instance(_compiled(args)), args.output)
 
 
 def _cmd_reduce(args):

@@ -8,11 +8,11 @@ rule conclusion is monotone in its premise sets, and both refutation and the
 strategy conditions only get easier for smaller A, so pruning is lossless.
 Saturation can still be exponential by design; a fact cap guards it.
 
-Join discipline: facts are queued as they are stored, and each combination
-of premises is joined once its last premise is dequeued, with the dequeued
-fact in every premise role it can fill.  Conclusions are inserted as they
-are generated, before the next one is formed; this fixes the stored order,
-and so which facts are stored when refutation or the cap stops saturation.
+Join discipline: a fact is queued when stored, and joins the premise index
+when dequeued if still stored; that dequeue is the index's one writer.  The
+fact is joined in every premise role it can fill, so each premise combination
+is joined once, when its last premise is dequeued.  Insertion follows
+generation order, which fixes what refutation or the cap leaves stored.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
     base = FactBase(inst.names, minimal, "complete", 0)
 
     def insert(x, z, mask):
-        """Simplify, prune by the antichain, store, and check refutation.
-        Returns "bottom" or "cap" when saturation must stop, else None."""
+        """Simplify, prune by the antichain, store, queue and check refutation,
+        but never index.  Returns "bottom" or "cap" to stop saturation, else None."""
         nonlocal count
         mask &= ~_cut_mask(quants, ups, x, z)
         if mask & ~ups[0]:
@@ -114,13 +114,9 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         bucket[:] = kept
         if count > cap:
             return "cap"
-        by_first.setdefault(x, []).append((z, mask))
-        by_second.setdefault(z, []).append((x, mask))
-        if mask == 0:
-            empty_out.setdefault(x, []).append(z)
-            if (x < z and univ[z]) or (z < x and univ[x]):
-                base.bottom_fact = (x, z)
-                return "bottom"
+        if mask == 0 and ((x < z and univ[z]) or (z < x and univ[x])):
+            base.bottom_fact = (x, z)
+            return "bottom"
         queue.append((x, z, mask))
         return None
 
@@ -170,21 +166,21 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
     def conclusions(x, z, mask):
         """Every conclusion with the fact P(x, z; mask) in one premise role."""
         # Trans, fact as first and as second premise
-        for z2 in list(empty_out.get(z, ())):
+        for z2 in empty_out.get(z, ()):
             yield x, z2, mask
         if mask == 0:
-            for w, b in list(by_second.get(x, ())):
+            for w, b in by_second.get(x, ()):
                 yield w, z, b
         # AltTrans, fact as P(w1, y; A), as P(y, w2; {}) and as P(y, z; B)
-        for w2 in list(empty_out.get(z, ())):
-            for zc, b in list(by_first.get(z, ())):
+        for w2 in empty_out.get(z, ()):
+            for zc, b in by_first.get(z, ()):
                 yield from alt(x, w2, zc, mask, b)
         if mask == 0:
-            for w1, a in list(by_second.get(x, ())):
-                for zc, b in list(by_first.get(x, ())):
+            for w1, a in by_second.get(x, ()):
+                for zc, b in by_first.get(x, ()):
                     yield from alt(w1, z, zc, a, b)
-        for w1, a in list(by_second.get(x, ())):
-            for w2 in list(empty_out.get(x, ())):
+        for w1, a in by_second.get(x, ()):
+            for w2 in empty_out.get(x, ()):
                 yield from alt(w1, w2, z, a, mask)
         # Progress, fact in each of the four premise roles
         fact = [(x, mask)]
@@ -206,6 +202,10 @@ def saturate(inst: QcspInstance, cap: int = 10**6) -> FactBase:
         while queue:
             x, z, mask = queue.popleft()
             if mask in minimal[x, z]:  # else removed by a smaller set meanwhile
+                by_first.setdefault(x, []).append((z, mask))
+                by_second.setdefault(z, []).append((x, mask))
+                if mask == 0:
+                    empty_out.setdefault(x, []).append(z)
                 yield from conclusions(x, z, mask)
 
     for x, z, mask in derivations():

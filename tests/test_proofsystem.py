@@ -194,8 +194,8 @@ def test_saturate_output_pinned():
         statuses[got.status] += 1
         record = (got.status, got.fact_count, got.bottom_fact, list(got.minimal.items()), got.dump())
         h.update(repr(record).encode())
-    assert statuses == {"complete": 991, "bottom": 1197, "cap": 148}
-    assert h.hexdigest() == "74a3c300042fd78991e03e3670bab354b7799032e5a9c8302906c2aa32c9ad6e"
+    assert statuses == {"complete": 991, "bottom": 1208, "cap": 137}
+    assert h.hexdigest() == "30b17307818699b6562bda496e0e4de5aac5304cbd44f892f87e7305dfd9eefa"
 
 
 def test_saturate_fixpoint_pinned():
