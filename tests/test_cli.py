@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
+import importlib.util
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +181,43 @@ def test_classify_json_bytes(capsys, name):
     code, out, _ = run(capsys, "classify", FIXTURES / name, "--json")
     assert code == 0
     assert out == json.dumps(_CLASSIFY_JSON[name], indent=2) + "\n"
+
+
+_TEXT_KEYS = ("oh_semantic", "oh_syntactic", "pp_preserved", "dual_pp_preserved",
+              "ppsynt_shape", "goh_syntactic", "verdict")
+_HARD = "coNP-hard-unless-GOH-definable"
+_CLASSIFY_TEXT = {
+    ("le.rel",): (True, True, True, True, True, True, "P"),
+    ("mplus.rel",): (True, True, True, False, True, False, "P"),
+    ("sm.rel",): (True, True, False, False, False, False, _HARD),
+    ("mplus.rel", "sm.rel"): (True, True, False, False, False, False, _HARD),
+}
+
+
+@pytest.mark.parametrize("names", list(_CLASSIFY_TEXT), ids=" ".join)
+def test_classify_text_bytes(capsys, names):
+    # without --json the report is the six flags and the verdict, one per line
+    code, out, _ = run(capsys, "classify", *(FIXTURES / n for n in names))
+    assert code == 0
+    assert out == "".join(f"{k}: {v}\n" for k, v in zip(_TEXT_KEYS, _CLASSIFY_TEXT[names]))
+
+
+def test_classify_text_round_pinned(tmp_path, capsys):
+    # one SHA-256 over the text reports of one seed-161 round of the
+    # benchmark's classify workload, in its command order
+    path = FIXTURES.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    ops = families.build("classify", random.Random("classify/161"), str(tmp_path), str(FIXTURES))
+    h = hashlib.sha256()
+    for op in ops:
+        for argv in op["argvs"]:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            h.update(out.encode())
+    assert len(ops) == 51
+    assert h.hexdigest() == "a1a8a0cc442552887e99e4e3f406cb3ad9f592f63ee05c699339da75e5bf59ed"
 
 
 def test_classify_ignores_repeated_disjunct(tmp_path, capsys):
