@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Optional
 
@@ -526,16 +526,24 @@ class ClassReport:
     dual_pp_preserved: bool
     ppsynt_shape: bool
     goh_syntactic: bool
-    witnesses: dict
     verdict: str
+    hull_failures: list  # (witness key, relation, op) per failed pp or dual-pp hull
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """Witness key -> first violating pair, scanned on first read."""
+        return {key: _witness(r, op) for key, r, op in self.hull_failures}
+
+    def flags(self) -> dict:
+        """The six flags and the verdict, which need no scan."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "hull_failures"}
 
     def to_json_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["witnesses"] = {
-            op: {"t1": _levels(t1), "t2": _levels(t2)}
-            for op, (t1, t2) in self.witnesses.items()
+        *flags, verdict = self.flags().items()
+        witnesses = {
+            key: {"t1": _levels(t1), "t2": _levels(t2)} for key, (t1, t2) in self.witnesses.items()
         }
-        return out
+        return dict([*flags, ("witnesses", witnesses), verdict])
 
 
 def _levels(w: WeakOrder):
@@ -543,7 +551,8 @@ def _levels(w: WeakOrder):
 
 
 def _witness(r: TemporalRelation, op: str):
-    """The signature scan's first violating pair, which a failed hull promises."""
+    """The signature scan's first violating pair, which a failed hull
+    promises; run for each hull failure when ``witnesses`` is first read."""
     res = is_preserved_by(r, op)
     if res:
         raise RuntimeError(f"the {op} clause hull and the signature scan disagree on {r.name}")
@@ -565,24 +574,25 @@ def classify(rels) -> ClassReport:
       r_x for all those y and r_z > r_x for all those z.
     - dual pp: the same test on mirrored ranks (r_z < r_x for t_z < t_x).
 
-    Only a relation that a pp or dual-pp hull rejects is scanned by
-    ``is_preserved_by``, for the witness pair of its report.
+    ``classify`` itself runs no scan.  It records each pp or dual-pp hull
+    failure, and the first read of the report's ``witnesses`` scans those
+    relations with ``is_preserved_by`` for their violating pairs.
 
     The hard verdict is conditional: GOH-definability has no decision
     procedure here, so a failed parse never certifies hardness on its own.
     """
-    witnesses = {}
+    failures = []
     rows = []  # per relation: oh, oh shape, pp, dual pp, ppsynt shape, goh
     for idx, r in enumerate(rels):
         oh, pp, dual_pp = hull_flags(r)
         if not pp:
-            witnesses[f"pp[{idx}]"] = _witness(r, "pp")
+            failures.append((f"pp[{idx}]", r, "pp"))
         if not dual_pp:
-            witnesses[f"dual_pp[{idx}]"] = _witness(r, "dual_pp")
+            failures.append((f"dual_pp[{idx}]", r, "dual_pp"))
         rows.append((oh, oh_shape(r.defn), pp, dual_pp, ppsynt_shape(r.defn), goh_syntactic(r.defn)))
     oh_sem, oh_syn, pp_all, dual_all, shape_all, goh_all = (all(row[i] for row in rows) for i in range(6))
     verdict = VERDICT_P if (pp_all or dual_all or goh_all) else VERDICT_HARD
-    return ClassReport(oh_sem, oh_syn, pp_all, dual_all, shape_all, goh_all, witnesses, verdict)
+    return ClassReport(oh_sem, oh_syn, pp_all, dual_all, shape_all, goh_all, verdict, failures)
 
 
 def reverse(r: TemporalRelation) -> TemporalRelation:

@@ -131,9 +131,8 @@ def _cmd_classify(args):
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
-        for key, value in report.to_json_dict().items():
-            if key != "witnesses":
-                print(f"{key}: {value}")
+        for key, value in report.flags().items():
+            print(f"{key}: {value}")
     return EXIT_OK
 
 

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 import tracemalloc
 
@@ -25,6 +27,17 @@ C x5 >= x1
 @pytest.fixture
 def running_example():
     return parse_instance(RUNNING_EXAMPLE)
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module perfbench/NAME.py, which is not a package."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def peak_bytes(fn):

@@ -1,5 +1,6 @@
 """Preservation checks, syntax recognizers, formula surgery, and verdicts."""
 
+import pathlib
 import random
 import time
 
@@ -25,7 +26,7 @@ from ordhorn.classifier import (
     short_tool_gadget,
     verify_sandwich,
 )
-from ordhorn.formula import Atom, QfFormula
+from ordhorn.formula import Atom, QfFormula, parse_relation
 from ordhorn.game import ResourceLimitError
 from ordhorn.orders import (
     WeakOrder,
@@ -39,7 +40,7 @@ from ordhorn.orders import (
 )
 from ordhorn.relations import TemporalRelation, catalogue, names
 
-from conftest import if_chain_image
+from conftest import PERFBENCH, if_chain_image, load_perfbench
 
 
 def rel(arity, *clauses):
@@ -66,8 +67,9 @@ def test_arity_five_is_within_the_semantic_bound():
 
 def test_arity_six_classifies_within_a_time_bound():
     # the hulls decide NAE6 without a scan; a relation that the pp hull
-    # rejects is scanned only up to its first violating pair (about 0.1 s
-    # and 0.35 s of CPU on a 2-core VM; arity 7 took 1-7 s and is refused)
+    # rejects is scanned when its witnesses are first read, and only up to
+    # its first violating pair (about 0.1 s and 0.35 s of CPU on a 2-core
+    # VM; arity 7 took 1-7 s and is refused)
     start = time.process_time()
     report = classify([catalogue("NAE6")])
     assert report.verdict == VERDICT_P and report.witnesses == {}
@@ -179,6 +181,21 @@ def test_hulls_match_signature_scan_beyond_ord_horn():
         assert hull_flags(r) == flags, r
         non_oh += not oh
     assert non_oh >= len(rels) // 2
+
+
+@pytest.mark.parametrize("seed", [161, 7])
+def test_hulls_match_signature_scan_on_benchmark_relations(seed, tmp_path):
+    # text-mode classify reads no witnesses, so the scan no longer checks
+    # the pp hulls at run time; every relation of the benchmark's classify
+    # family (catalogue, pivoted and non-Ord-Horn, arity 3 and 4) does here
+    families = load_perfbench("families")
+    rng = random.Random(f"classify/{seed}")  # as perfbench/run.py seeds the workload
+    ops = families.build_classify(rng, str(tmp_path), str(PERFBENCH.parent / "fixtures"))
+    paths = sorted({path for op in ops for argv in op["argvs"] for path in argv[1:]})
+    for path in paths:
+        r = parse_relation(pathlib.Path(path).read_text())
+        scans = (bool(is_preserved_by(r, "pp")), bool(is_preserved_by(r, "dual_pp")))
+        assert hull_flags(r)[1:] == scans, path
 
 
 def test_preservation_checks_one_image_per_signature(monkeypatch):
@@ -607,8 +624,11 @@ def test_classify_mplus_with_sm_is_hard():
 
 
 def test_classify_scans_only_for_witnesses(monkeypatch):
-    # the hulls decide every flag; a signature scan runs only to find the
-    # witness of a pp or dual-pp violation, and never under ll
+    # the hulls decide every flag; classify itself scans nothing, and the
+    # first read of a report's witnesses scans once per hull failure, in
+    # order, and never under ll
+    from ordhorn.cli import main
+
     scanned = []
 
     def recording_scan(r, op):
@@ -616,14 +636,24 @@ def test_classify_scans_only_for_witnesses(monkeypatch):
         return is_preserved_by(r, op)
 
     monkeypatch.setattr("ordhorn.classifier.is_preserved_by", recording_scan)
-    classify([catalogue("M+")])
-    assert scanned == ["dual_pp"]
-    scanned.clear()
-    classify([catalogue("NAE4")])
-    assert scanned == []
+    for rels, expected in (([catalogue("M+")], ["dual_pp"]), ([catalogue("NAE4")], [])):
+        report = classify(rels)
+        assert scanned == []
+        first = report.witnesses
+        assert scanned == expected
+        assert report.witnesses is first and scanned == expected
+        scanned.clear()
     report = classify([catalogue("M+"), catalogue("SM"), BETW_LIKE])
-    assert not report.oh_semantic
-    assert scanned and not {"ll", "dual_ll"} & set(scanned)
+    assert not report.oh_semantic and scanned == []
+    assert list(report.witnesses) == ["dual_pp[0]", "pp[1]", "dual_pp[1]", "dual_pp[2]"]
+    assert scanned == ["dual_pp", "pp", "dual_pp", "dual_pp"]
+    scanned.clear()
+    # the CLI scans only for --json, and then only the failed ops
+    sm = str(PERFBENCH.parent / "fixtures" / "sm.rel")
+    assert main(["classify", sm]) == 0
+    assert scanned == []
+    assert main(["classify", sm, "--json"]) == 0
+    assert scanned == ["pp", "dual_pp"]
 
 
 def test_catalogue_structures():

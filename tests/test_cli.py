@@ -1,7 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
 import hashlib
-import importlib.util
 import json
 import pathlib
 import random
@@ -12,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ordhorn.cli import EXIT_FAILED, EXIT_USAGE, build_parser, main
 from ordhorn.game import GameVerdict, Move, brute_solve
 from ordhorn.proofsystem import StrategyUndefinedError
+
+from conftest import load_perfbench
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,10 +206,7 @@ def test_classify_text_bytes(capsys, names):
 def test_classify_text_round_pinned(tmp_path, capsys):
     # one SHA-256 over the text reports of one seed-161 round of the
     # benchmark's classify workload, in its command order
-    path = FIXTURES.parent / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
+    families = load_perfbench("families")
     ops = families.build("classify", random.Random("classify/161"), str(tmp_path), str(FIXTURES))
     h = hashlib.sha256()
     for op in ops:

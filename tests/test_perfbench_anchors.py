@@ -5,24 +5,14 @@ round of each workload runs here as well, since the input families call
 names that only the benchmark reads (``Cnf3.truth_table_sat``, ``Atom.text``,
 ``compile_to_mplus``'s normalize fallback)."""
 
-import importlib.util
-import pathlib
 import random
 
 import pytest
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, load_perfbench
+
 WORKLOADS = ("solve-chain", "solve-sparse", "oracle-small", "classify")
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ANCHORS = _load("check_anchors")
+ANCHORS = load_perfbench("check_anchors")
 
 
 @pytest.mark.parametrize("name", sorted(n for n in vars(ANCHORS) if n.startswith("test_")))
@@ -35,7 +25,7 @@ def test_benchmark_round_passes(workload, tmp_path):
     # one round at seed 161, built and checked as perfbench/run.py does
     import ordhorn.cli as cli
 
-    families, worker = _load("families"), _load("worker")
+    families, worker = load_perfbench("families"), load_perfbench("worker")
     rng = random.Random(f"{workload}/161")
     ops = families.build(workload, rng, str(tmp_path), str(PERFBENCH.parent / "fixtures"))
     assert ops
