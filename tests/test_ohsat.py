@@ -423,7 +423,7 @@ def _sweep(cs, seen, new_id=None):
 
 def test_memo_probe_range_split():
     """The memo probe starts from range ORs over the universals, split at z
-    when z lies in the range.  Probes of every pair of chains 1..8 and of
+    when z lies in the range.  Probes of every pair of chains 1..9 and of
     seeded random instances, at the suffix starts ``_sweep`` picks, agree
     with the plain closure, also after ``ClauseSet.add`` takes a live clause
     with a new pivot, which keeps the memo."""
@@ -432,6 +432,7 @@ def test_memo_probe_range_split():
     rng = random.Random(1600)
     instances = [parallel_chain(k) for k in range(1, 9)]
     instances += [random_mplus_instance(rng, max_vars=8, max_clauses=8) for _ in range(150)]
+    instances.append(parallel_chain(9))  # 18 universals, spans past 16
     seen = Counter()
     live_fires = 0
     for inst in instances:
