@@ -31,20 +31,20 @@ builds the set of a conjunction and calls it.
 The solver grows one :class:`ClauseSet`, which also keeps a mask of the
 pivots of its clauses, one variable order (the solver's universals in
 prefix order) and a *memo* of the set's base fixpoint, the mask fixpoint of
-its clauses and edges alone.  :func:`probe` answers the
-solver's question "x equal to a set U and x < z", U being a suffix
-``order[j:]`` less x and z.  A probe that finds the memo empty fills it in
-one step: each variable's ``up``/``down`` and base class
-``cls = up & down``, and a sparse table of ORs (Bender and Farach-Colton,
-LATIN 2000, with OR in place of min) of the packed masks
-``cls | up << n | down << 2n`` over ``order``.  A probe's start
-``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, is then at
-most two range queries, split at z when z lies in the range.  A probe
-fires the clauses pivoted in ``C`` whose partners lie in ``C`` (their
-targets form ``T``) and absorbs ``up(C) & down(C | T)`` until nothing
-changes; no other class can change, because every fired edge points into
-``C``.  The probe is unsatisfiable iff ``up(z)`` meets ``C | T``, that is
-iff z enters ``down(C | T)``.
+its clauses and edges alone.  :func:`probe` answers the solver's question
+"x equal to a set U and x < z", U being a suffix ``order[j:]`` less x and
+z.  A probe that finds the memo empty fills it in one step: each variable's
+``up``/``down`` and base class ``cls = up & down``, ``packs[i]`` packing
+``cls | up << n | down << 2n`` of ``order[i]``, and the suffix ORs
+``suffix[j]`` of ``packs[j:]``.  A probe's start
+``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, joins x's
+masks to ``suffix[j]``, or, when z is ``order[iz]`` with iz >= j, to
+``suffix[iz + 1]`` ORed with ``packs[j:iz]``.  A probe fires the clauses
+pivoted in ``C`` whose partners lie in ``C`` (their targets form ``T``) and
+absorbs ``up(C) & down(C | T)`` until nothing changes; no other class can
+change, because every fired edge points into ``C``.  The probe is
+unsatisfiable iff ``up(z)`` meets ``C | T``, that is iff z enters
+``down(C | T)``.
 
 When z lies outside ``order[j:]``, z enters only that stop test, so the
 grown class is the same for every such z.  A probe of that kind that
@@ -177,27 +177,6 @@ def closure(cs, eqs, lts, nes):
     return [level[r] for r in rep], None
 
 
-def _range_table(order, cls, up, down):
-    """Sparse table of ORs over ``order``: entry i of row k packs
-    ``cls | up << n | down << 2n`` ORed over ``order[i : i + 2**k]``."""
-    n = len(cls)
-    table = [[cls[v] | up[v] << n | down[v] << 2 * n for v in order]]
-    width = 1
-    while 2 * width <= len(order):
-        table.append([a | b for a, b in zip(table[-1], table[-1][width:])])
-        width *= 2
-    return table
-
-
-def _range_or(table, lo, hi):
-    """The packed OR over ``order[lo:hi]``, from two overlapping entries."""
-    if lo >= hi:
-        return 0
-    k = (hi - lo).bit_length() - 1
-    row = table[k]
-    return row[lo] | row[hi - (1 << k)]
-
-
 class ClauseSet:
     """A clause set grown by :meth:`add`, with its order and memo.  The derived
     clauses of a (pivot, target) pair share one slot, holding the smallest
@@ -261,7 +240,7 @@ def probe(cs, x, z, j):
     fixpoint, which may be more than a probe stopped as soon as z entered
     would list, and may name a slot that an implied unit retired since.
     The ``fired`` list is shared with the memo, so callers must not mutate
-    it.
+    it.  Slot 1 stays None: the benchmark's probe counter unpacks four values.
     """
     n, order, memo = cs.n, cs.order, cs.memo
     pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
@@ -272,11 +251,17 @@ def probe(cs, x, z, j):
             return None, None, events, None  # every probe of this clause set is refuted
         up, down = masks
         cls = [u & d for u, d in zip(up, down)]
-        memo.update(cls=cls, up=up, down=down, table=_range_table(order, cls, up, down), grown={})
-    cls, up, down, table, piv = memo["cls"], memo["up"], memo["down"], memo["table"], cs.pivots
+        packs = [cls[v] | up[v] << n | down[v] << 2 * n for v in order]
+        suffix = [0] * (len(order) + 1)
+        for i in range(len(order) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | packs[i]
+        memo.update(cls=cls, up=up, down=down, packs=packs, suffix=suffix, grown={})
+    cls, up, down, suffix, piv = memo["cls"], memo["up"], memo["down"], memo["suffix"], cs.pivots
     iz = cs.at.get(z, -1)
-    if iz >= j:  # z splits the range
-        packed = _range_or(table, j, iz) | _range_or(table, iz + 1, len(order))
+    if iz >= j:  # z splits the suffix: OR the entries before it one by one
+        packed = suffix[iz + 1]
+        for e in memo["packs"][j:iz]:
+            packed |= e
     else:
         # z enters only the stop test, so every such z shares one SAT fixpoint
         hit = memo["grown"].get((x, j))
@@ -285,7 +270,7 @@ def probe(cs, x, z, j):
             if downc >> z & 1:
                 return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
             return c_mask, None, None, fired
-        packed = _range_or(table, j, len(order))
+        packed = suffix[j]
     full = (1 << n) - 1
     # the masks of C (x's grown class), up(C) and down(C | T)
     c_mask = cls[x] | packed & full
@@ -335,7 +320,7 @@ def oh_sat(conj: OhConjunction):
     for a, b in les:
         cs.add(b, 0, a)  # the edge a <= b
     for i, c in enumerate(conj.clauses):
-        if not c.partners and c.target is None:
+        if c.is_false():
             return UnsatResult([("fire", i), ("empty-clause", i)])
         cs.add(c.pivot, sum(1 << p for p in c.partners), -1 if c.target is None else c.target)
     ids = [i for i, c in enumerate(conj.clauses) if c.partners]  # cs's clause ids in conj.clauses

@@ -380,7 +380,8 @@ def _range_probe_cases(inst):
 def _sweep(cs, seen, new_id=None):
     """Memo probes (x, z, j) of the clause set ``cs`` against the plain
     closure, for every pair and each suffix start j that puts x or z at an
-    end of order[j:] or just before it; ``seen`` counts where z and x sit
+    end of order[j:] or just before it, so that z splits the suffix at its
+    first, a middle and its last entry; ``seen`` counts where z and x sit
     relative to order[j:].  Returns how many probes fired clause ``new_id``."""
     from ordhorn.ohsat import probe
 
@@ -422,11 +423,12 @@ def _sweep(cs, seen, new_id=None):
 
 
 def test_memo_probe_range_split():
-    """The memo probe starts from range ORs over the universals, split at z
-    when z lies in the range.  Probes of every pair of chains 1..9 and of
-    seeded random instances, at the suffix starts ``_sweep`` picks, agree
-    with the plain closure, also after ``ClauseSet.add`` takes a live clause
-    with a new pivot, which keeps the memo."""
+    """The memo probe starts from suffix ORs over the universals; when z lies
+    in the suffix, it ORs the suffix after z with the entries before z.
+    Probes of every pair of chains 1..9 (18 universals) and of seeded
+    random instances, at the suffix starts ``_sweep`` picks, agree with the
+    plain closure, also after ``ClauseSet.add`` takes a live clause with a
+    new pivot, which keeps the memo."""
     from collections import Counter
 
     rng = random.Random(1600)
