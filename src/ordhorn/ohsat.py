@@ -36,15 +36,14 @@ its clauses and edges alone.  :func:`probe` answers the solver's question
 z.  A probe that finds the memo empty fills it in one step: each variable's
 ``up``/``down`` and base class ``cls = up & down``, ``packs[i]`` packing
 ``cls | up << n | down << 2n`` of ``order[i]``, and the suffix ORs
-``suffix[j]`` of ``packs[j:]``.  A probe's start
-``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, joins x's
-masks to ``suffix[j]``, or, when z is ``order[iz]`` with iz >= j, to
-``suffix[iz + 1]`` ORed with ``packs[j:iz]``.  A probe fires the clauses
-pivoted in ``C`` whose partners lie in ``C`` (their targets form ``T``) and
-absorbs ``up(C) & down(C | T)`` until nothing changes; no other class can
-change, because every fired edge points into ``C``.  The probe is
-unsatisfiable iff ``up(z)`` meets ``C | T``, that is iff z enters
-``down(C | T)``.
+``suffix[j]`` of ``packs[j:]``.  A probe's start ``C = class(x) | classes(U)``,
+with ``up(C)`` and ``down(C)``, joins x's masks to ``suffix[j]``, or, when z
+is ``order[iz]`` with iz >= j, to ``suffix[iz + 1]`` ORed with
+``packs[j:iz]``.  A probe fires the clauses pivoted in ``C`` whose partners
+lie in ``C`` (their targets form ``T``) and absorbs ``up(C) & down(C | T)``
+until nothing changes; no other class can change, because every fired edge
+points into ``C``.  The probe is unsatisfiable iff ``up(z)`` meets
+``C | T``, that is iff z enters ``down(C | T)``.
 
 When z lies outside ``order[j:]``, z enters only that stop test, so the
 grown class is the same for every such z.  A probe of that kind that
@@ -251,9 +250,10 @@ def probe(cs, x, z, j):
             return None, None, events, None  # every probe of this clause set is refuted
         up, down = masks
         cls = [u & d for u, d in zip(up, down)]
-        packs = [cls[v] | up[v] << n | down[v] << 2 * n for v in order]
-        suffix = [0] * (len(order) + 1)
-        for i in range(len(order) - 1, -1, -1):
+        # not a comprehension, which would turn cls, up, down and n into slower closure cells
+        packs, suffix = [0] * len(order), [0] * (len(order) + 1)
+        for i, v in reversed([*enumerate(order)]):
+            packs[i] = cls[v] | up[v] << n | down[v] << 2 * n
             suffix[i] = suffix[i + 1] | packs[i]
         memo.update(cls=cls, up=up, down=down, packs=packs, suffix=suffix, grown={})
     cls, up, down, suffix, piv = memo["cls"], memo["up"], memo["down"], memo["suffix"], cs.pivots
