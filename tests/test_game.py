@@ -10,7 +10,7 @@ import random
 import pytest
 
 import ordhorn.game as game
-from ordhorn.formula import Atom, normalize, parse_instance
+from ordhorn.formula import Atom, QcspInstance, normalize, parse_instance
 from ordhorn.game import Move, ResourceLimitError, brute_solve, play_against
 from ordhorn.generators import random_mplus_instance
 from ordhorn.orders import enumerate_weak_orders
@@ -307,31 +307,54 @@ def test_oracle_output_is_pinned():
     assert [(o.win, o.trace, o.violated) for o in outcomes] == LOSS_PINS
 
 
-def _live_memo_entries():
-    """Entries in the memos of every game search closure still alive."""
-    total = 0
+def _live_cache_entries():
+    """(closures, entries): the game search closures still alive, and the
+    entries of every dict they hold, the memo and any cache beside it."""
+    closures = total = 0
     for obj in gc.get_objects():
         if getattr(obj, "__qualname__", None) == "brute_solve.<locals>.search":
-            cells = dict(zip(obj.__code__.co_freevars, obj.__closure__))
-            total += len(cells["memo"].cell_contents)
-    return total
+            closures += 1
+            total += sum(len(c.cell_contents) for c in obj.__closure__ if isinstance(c.cell_contents, dict))
+    return closures, total
 
 
 def test_memo_is_freed_on_every_exit():
     # search refers to itself, so with the collector off its closure, memo
-    # included, outlives the call; what it held must not
+    # and live-variable cache included, outlives the call; what they held
+    # must not
     inst = make_general("A" * 5 + "E", [[(5, ">", i)] for i in range(5)])
     gc.collect()
     gc.disable()
     try:
         verdict = brute_solve(inst)
         assert verdict.nodes > 5000
-        assert _live_memo_entries() == 0
+        assert _live_cache_entries() == (1, 0)
         with pytest.raises(ResourceLimitError):
             brute_solve(inst, max_nodes=verdict.nodes // 2)
-        assert _live_memo_entries() == 0
+        assert _live_cache_entries() == (2, 0)
     finally:
         gc.enable()
+
+
+def test_clause_order_does_not_change_the_search():
+    # the open clauses are a set, so permuting the matrix moves no node and no
+    # replayed move; this guards the clause <-> bit mapping and the memo key's
+    # canonical form, which the value and node pins alone do not
+    rng = random.Random(29)
+
+    def top_gap(var, order):
+        return Move("gap", len(order.levels()))
+
+    for _ in range(300):
+        inst = random_general_instance(rng, max_vars=7, max_clauses=7)
+        verdict, out = brute_solve(inst), play_against(inst, top_gap)
+        for _ in range(3):
+            matrix = list(inst.matrix)
+            rng.shuffle(matrix)
+            permuted = QcspInstance(inst.names, inst.quants, tuple(matrix))
+            again, out2 = brute_solve(permuted), play_against(permuted, top_gap)
+            assert (again.value, again.nodes) == (verdict.value, verdict.nodes), inst
+            assert (out2.win, out2.trace) == (out.win, out.trace), inst
 
 
 # (value, nodes) of brute_solve on complement-of-SAT gadgets of 2-variable
