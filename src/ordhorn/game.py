@@ -5,14 +5,16 @@ level or a gap.  Homogeneity of (Q,<) makes this finite abstraction sound.
 Memoization projects out assigned variables that no longer occur in any
 unresolved clause.
 
-A node evaluates only the atoms that the variable placed last decided, those
-whose later endpoint it is.  An open clause with such an atom true is
-satisfied; with none true it is falsified once that variable is its last, and
-stays open otherwise.  That is enough: a gap move shifts ranks but keeps every
-order relation among the placed variables, so an atom decided higher up keeps
-its truth value, and in an open clause every such atom is false.  The root
-(play from a ``prefix`` included) has no move above it, so it evaluates every
-atom among the placed variables and settles every clause.
+The open clauses are one int bit mask, bit ci for clause ci.  A node
+evaluates only the atoms that the variable placed last decided, those whose
+later endpoint it is, so it visits only the clauses holding such atoms.  An
+open clause with such an atom true is satisfied and its bit cleared; with none
+true it is falsified once that variable is its last, and stays open otherwise.
+That is enough: a gap move shifts ranks but keeps every order relation among
+the placed variables, so an atom decided higher up keeps its truth value, and
+in an open clause every such atom is false.  The root (play from a ``prefix``
+included) has no move above it, so it evaluates every atom among the placed
+variables and settles every clause.
 """
 
 from __future__ import annotations
@@ -73,43 +75,43 @@ class GameOutcome:
 def _decided_at(matrix, n, start):
     """(decided, clause_bits) for play from ``start`` placed variables.
 
-    ``decided[k]`` maps a clause index to the atoms of that clause, as
-    (left, right, HOLDS[op]), that placing variable k - 1 decides: those whose
-    later endpoint it is.  The root's ``decided[start]`` has every clause,
-    with its atoms among the placed variables.  ``clause_bits[ci]`` has bit v
-    set iff v occurs in clause ci."""
-    decided = [{} for _ in range(n + 1)]
-    decided[start] = {ci: [] for ci in range(len(matrix))}
+    ``decided[k]`` holds, in clause order, a (1 << ci, ci, atoms, final) entry
+    for each clause ci with atoms, as (left, right, HOLDS[op]), that placing
+    variable k - 1 decides: those whose later endpoint it is.  ``final`` is
+    true iff no variable of the clause is still to play then.  The root's
+    ``decided[start]`` has every clause, with its atoms among the placed
+    variables.  ``clause_bits[ci]`` has bit v set iff v occurs in clause ci."""
+    atoms_at = [{} for _ in range(n + 1)]
+    atoms_at[start] = {ci: [] for ci in range(len(matrix))}
     clause_bits = []
     for ci, clause in enumerate(matrix):
         bits = 0
         for a in clause:
             k = max(a.left + 1, a.right + 1, start)
-            decided[k].setdefault(ci, []).append((a.left, a.right, HOLDS[a.op]))
+            atoms_at[k].setdefault(ci, []).append((a.left, a.right, HOLDS[a.op]))
             bits |= 1 << a.left | 1 << a.right
         clause_bits.append(bits)
+    decided = [tuple((1 << ci, ci, tuple(atoms), not clause_bits[ci] >> k) for ci, atoms in at.items())
+               for k, at in enumerate(atoms_at)]
     return decided, clause_bits
 
 
-def _settle(open_ids, decided, clause_bits, next_var, ranks):
-    """(first falsified clause or None, clauses still open) once the first
-    ``next_var`` variables are placed, evaluating only the atoms ``decided``
-    that the last move decided; the open ones keep their order.  A clause none
-    of whose atoms holds is falsified iff no variable of it is still to play."""
-    still_open = []
-    for ci in open_ids:
-        atoms = decided.get(ci)
-        if atoms is None:
-            still_open.append(ci)
-            continue
-        for left, right, holds in atoms:
-            if holds(ranks[left], ranks[right]):
-                break
-        else:
-            if not clause_bits[ci] >> next_var:
-                return ci, None
-            still_open.append(ci)
-    return None, still_open
+def _settle(open_mask, decided, ranks):
+    """(first falsified clause or None, open mask) after evaluating the atoms
+    of the ``decided`` entries of the still open clauses: a clause with one
+    true is satisfied and its bit cleared, and one with none true is falsified
+    iff it is final.  Entries come in clause order, so the falsified clause
+    returned has the lowest index."""
+    for bit, ci, atoms, final in decided:
+        if open_mask & bit:
+            for left, right, holds in atoms:
+                if holds(ranks[left], ranks[right]):
+                    open_mask ^= bit
+                    break
+            else:
+                if final:
+                    return ci, open_mask
+    return None, open_mask
 
 
 def brute_solve(
@@ -137,30 +139,27 @@ def brute_solve(
     memo, live_vars = {}, {}
     nodes = 0
 
-    def search(next_var, ranks, n_levels, open_ids):
+    def search(next_var, ranks, n_levels, open_mask):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
-        falsified, still_open = _settle(open_ids, decided[next_var], clause_bits, next_var, ranks)
+        falsified, open_mask = _settle(open_mask, decided[next_var], ranks)
         if falsified is not None:
             return (False, None)
-        if not still_open:  # always so once every variable is placed
+        if not open_mask:  # always so once every variable is placed
             return (True, {} if emit_strategy else None)
 
         key = None
         if not emit_strategy:
-            bits = 0
-            for ci in still_open:
-                bits |= clause_bits[ci]
-            bits &= (1 << next_var) - 1
-            live = live_vars.get(bits)
-            if live is None:
-                live = live_vars[bits] = tuple(v for v in range(next_var) if bits >> v & 1)
+            live = live_vars.get((next_var, open_mask))
+            if live is None:  # the placed variables of the open clauses
+                bits = functools.reduce(int.__or__, (b for ci, b in enumerate(clause_bits) if open_mask >> ci & 1), 0)
+                live = live_vars[next_var, open_mask] = tuple(v for v in range(next_var) if bits >> v & 1)
             placed = tuple([ranks[v] for v in live])
             if placed and max(placed) >= len(set(placed)):  # some level has no live variable
                 placed = dense_ranks(placed)
-            key = (next_var, tuple(still_open), placed)
+            key = (next_var, open_mask, placed)
             if key in memo:
                 return (memo[key], None)
 
@@ -169,7 +168,7 @@ def brute_solve(
         for mv in legal_moves(n_levels):
             ranks2 = list(ranks)
             nl2 = play(ranks2, next_var, mv, n_levels)
-            sub, sub_strat = search(next_var + 1, ranks2, nl2, still_open)
+            sub, sub_strat = search(next_var + 1, ranks2, nl2, open_mask)
             if emit_strategy and sub:
                 branches[mv.text()] = sub_strat
             if sub != value:
@@ -186,7 +185,7 @@ def brute_solve(
 
     ranks = list(prefix) + [None] * (n - start)
     try:
-        value, strat = search(start, ranks, n_levels, range(len(matrix)))
+        value, strat = search(start, ranks, n_levels, (1 << len(matrix)) - 1)
     finally:
         memo.clear()  # search refers to itself, so only the collector frees it
         live_vars.clear()
@@ -205,20 +204,20 @@ def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000)
     matrix = inst.general_matrix()
     quants = inst.quants
     names = inst.names
-    decided, clause_bits = _decided_at(matrix, n, 0)
+    decided = _decided_at(matrix, n, 0)[0]
     trace = []
     nodes = 0
 
-    def rec(next_var, ranks, n_levels, open_ids):
+    def rec(next_var, ranks, n_levels, open_mask):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"strategy replay exceeded {max_nodes} nodes")
-        ci, still_open = _settle(open_ids, decided[next_var], clause_bits, next_var, ranks)
+        ci, open_mask = _settle(open_mask, decided[next_var], ranks)
         if ci is not None:
             clause_text = " | ".join(a.text(names) for a in matrix[ci])
             return GameOutcome(False, list(trace), clause_text)
-        if not still_open:
+        if not open_mask:
             return None
         if quants[next_var] == "E":
             moves = (ep(next_var, WeakOrder(tuple(ranks[:next_var]))),)
@@ -228,11 +227,11 @@ def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000)
             ranks2 = list(ranks)
             nl2 = play(ranks2, next_var, mv, n_levels)
             trace.append((names[next_var], mv.text()))
-            out = rec(next_var + 1, ranks2, nl2, still_open)
+            out = rec(next_var + 1, ranks2, nl2, open_mask)
             trace.pop()
             if out is not None:
                 return out
         return None
 
-    loss = rec(0, [None] * n, 0, range(len(matrix)))
+    loss = rec(0, [None] * n, 0, (1 << len(matrix)) - 1)
     return loss if loss is not None else GameOutcome(True)
