@@ -285,10 +285,15 @@ def probe(cs, x, z, j):
     fired = []
     while True:
         outside = ~c_mask
-        firing = [i for i in pending if not pmasks[i] & outside]
+        firing, kept = [], []  # one pass; both keep pending's order
+        for i in pending:
+            if pmasks[i] & outside:
+                kept.append(i)
+            else:
+                firing.append(i)
+        pending = kept
         if firing:
             fired += firing
-            pending = [i for i in pending if pmasks[i] & outside]
             for i in firing:
                 t = targets[i]
                 if t < 0:
