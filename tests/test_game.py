@@ -345,8 +345,9 @@ def test_clause_order_does_not_change_the_search():
     def top_gap(var, order):
         return Move("gap", len(order.levels()))
 
-    for _ in range(300):
-        inst = random_general_instance(rng, max_vars=7, max_clauses=7)
+    instances = [random_general_instance(rng, max_vars=7, max_clauses=7) for _ in range(300)]
+    instances += [random_mplus_instance(rng, max_vars=8, max_clauses=7) for _ in range(150)]
+    for inst in instances:
         verdict, out = brute_solve(inst), play_against(inst, top_gap)
         for _ in range(3):
             matrix = list(inst.matrix)
