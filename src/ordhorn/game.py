@@ -154,7 +154,8 @@ def brute_solve(
         if not emit_strategy:
             live = live_vars.get((next_var, open_mask))
             if live is None:  # the placed variables of the open clauses
-                bits = functools.reduce(int.__or__, (b for ci, b in enumerate(clause_bits) if open_mask >> ci & 1), 0)
+                open_bits = (b for ci, b in enumerate(clause_bits) if open_mask >> ci & 1)
+                bits = functools.reduce(int.__or__, open_bits, 0)
                 live = live_vars[next_var, open_mask] = tuple(v for v in range(next_var) if bits >> v & 1)
             placed = tuple([ranks[v] for v in live])
             if placed and max(placed) >= len(set(placed)):  # some level has no live variable
