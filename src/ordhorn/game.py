@@ -2,8 +2,9 @@
 
 Moves are order positions rather than rationals: a player picks an existing
 level or a gap.  Homogeneity of (Q,<) makes this finite abstraction sound.
-Memoization projects out assigned variables that no longer occur in any
-unresolved clause.
+A position is the list of dense ranks of the placed variables, in prefix
+order, so variable ``len(ranks)`` moves next.  Memoization projects out placed
+variables that no longer occur in any unresolved clause.
 
 The open clauses are one int bit mask, bit ci for clause ci.  A node
 evaluates only the atoms that the variable placed last decided, those whose
@@ -42,20 +43,20 @@ def legal_moves(n_levels: int) -> tuple:
     return tuple(eqs + [Move("gap", g) for g in range(n_levels + 1)])
 
 
-def play(ranks: list, var: int, move: Move, n_levels: int) -> int:
-    """Apply a move in place; returns the new level count."""
+def play(ranks: list, move: Move, n_levels: int) -> tuple:
+    """(child ranks, child level count) after variable ``len(ranks)`` makes
+    ``move``; ``ranks`` is left unchanged.  An eq move appends its level; a
+    gap move lifts the ranks at or above the gap, then appends the gap."""
+    g = move.index
     if move.kind == "eq":
-        if not 0 <= move.index < n_levels:
+        if not 0 <= g < n_levels:
             raise ValueError("level index out of bounds")
-        ranks[var] = move.index
-        return n_levels
-    if not 0 <= move.index <= n_levels:
+        return ranks + [g], n_levels
+    if not 0 <= g <= n_levels:
         raise ValueError("gap index out of bounds")
-    for i, r in enumerate(ranks):
-        if r is not None and r >= move.index:
-            ranks[i] = r + 1
-    ranks[var] = move.index
-    return n_levels + 1
+    child = [r + 1 if r >= g else r for r in ranks]
+    child.append(g)
+    return child, n_levels + 1
 
 
 @dataclass
@@ -134,16 +135,16 @@ def brute_solve(
         raise ValueError(f"prefix {tuple(prefix)} is not dense ranks for at most {n} variables")
     matrix = inst.general_matrix()
     quants = inst.quants
-    start = len(prefix)
-    decided, clause_bits = _decided_at(matrix, n, start)
+    decided, clause_bits = _decided_at(matrix, n, len(prefix))
     memo, live_vars = {}, {}
     nodes = 0
 
-    def search(next_var, ranks, n_levels, open_mask):
+    def search(ranks, n_levels, open_mask):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
+        next_var = len(ranks)
         falsified, open_mask = _settle(open_mask, decided[next_var], ranks)
         if falsified is not None:
             return (False, None)
@@ -167,9 +168,8 @@ def brute_solve(
         # E loses and A wins unless some move flips that; the first one decides
         value, branches = quants[next_var] == "A", {}
         for mv in legal_moves(n_levels):
-            ranks2 = list(ranks)
-            nl2 = play(ranks2, next_var, mv, n_levels)
-            sub, sub_strat = search(next_var + 1, ranks2, nl2, open_mask)
+            child, child_levels = play(ranks, mv, n_levels)
+            sub, sub_strat = search(child, child_levels, open_mask)
             if emit_strategy and sub:
                 branches[mv.text()] = sub_strat
             if sub != value:
@@ -184,9 +184,8 @@ def brute_solve(
             return (True, {"var": inst.names[next_var], "move": move, "next": sub_strat})
         return (True, {"var": inst.names[next_var], "branches": branches})
 
-    ranks = list(prefix) + [None] * (n - start)
     try:
-        value, strat = search(start, ranks, n_levels, (1 << len(matrix)) - 1)
+        value, strat = search(list(prefix), n_levels, (1 << len(matrix)) - 1)
     finally:
         memo.clear()  # search refers to itself, so only the collector frees it
         live_vars.clear()
@@ -201,19 +200,19 @@ def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000)
     with its move trace and the violated clause.  Past ``max_nodes`` visited
     positions it raises :class:`ResourceLimitError`.
     """
-    n = inst.n_vars
     matrix = inst.general_matrix()
     quants = inst.quants
     names = inst.names
-    decided = _decided_at(matrix, n, 0)[0]
+    decided = _decided_at(matrix, inst.n_vars, 0)[0]
     trace = []
     nodes = 0
 
-    def rec(next_var, ranks, n_levels, open_mask):
+    def rec(ranks, n_levels, open_mask):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(f"strategy replay exceeded {max_nodes} nodes")
+        next_var = len(ranks)
         ci, open_mask = _settle(open_mask, decided[next_var], ranks)
         if ci is not None:
             clause_text = " | ".join(a.text(names) for a in matrix[ci])
@@ -221,18 +220,17 @@ def play_against(inst: QcspInstance, ep: Callable, max_nodes: int = 100_000_000)
         if not open_mask:
             return None
         if quants[next_var] == "E":
-            moves = (ep(next_var, WeakOrder(tuple(ranks[:next_var]))),)
+            moves = (ep(next_var, WeakOrder(tuple(ranks))),)
         else:
             moves = legal_moves(n_levels)
         for mv in moves:
-            ranks2 = list(ranks)
-            nl2 = play(ranks2, next_var, mv, n_levels)
+            child, child_levels = play(ranks, mv, n_levels)
             trace.append((names[next_var], mv.text()))
-            out = rec(next_var + 1, ranks2, nl2, open_mask)
+            out = rec(child, child_levels, open_mask)
             trace.pop()
             if out is not None:
                 return out
         return None
 
-    loss = rec(0, [None] * n, 0, (1 << len(matrix)) - 1)
+    loss = rec([], 0, (1 << len(matrix)) - 1)
     return loss if loss is not None else GameOutcome(True)

@@ -153,6 +153,34 @@ def test_play_against_checks_moves_through_play(move, message):
         play_against(inst, lambda var, order: move)
 
 
+def test_play_returns_the_child_and_leaves_the_parent():
+    # x1..x4 placed on three levels; x5 moves
+    ranks = [1, 0, 2, 1]
+    children = {
+        Move("eq", 0): ([1, 0, 2, 1, 0], 3),
+        Move("eq", 1): ([1, 0, 2, 1, 1], 3),
+        Move("eq", 2): ([1, 0, 2, 1, 2], 3),
+        Move("gap", 0): ([2, 1, 3, 2, 0], 4),
+        Move("gap", 1): ([2, 0, 3, 2, 1], 4),
+        Move("gap", 2): ([1, 0, 3, 1, 2], 4),
+        Move("gap", 3): ([1, 0, 2, 1, 3], 4),
+    }
+    assert list(children) == list(game.legal_moves(3))
+    for move, child in children.items():
+        assert game.play(ranks, move, 3) == child, move
+        assert ranks == [1, 0, 2, 1]
+    assert game.play([], Move("gap", 0), 0) == ([0], 1)
+    for move, message in [
+        (Move("eq", 3), "level index out of bounds"),
+        (Move("eq", -1), "level index out of bounds"),
+        (Move("gap", 4), "gap index out of bounds"),
+        (Move("gap", -1), "gap index out of bounds"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            game.play(ranks, move, 3)
+    assert ranks == [1, 0, 2, 1]
+
+
 def test_brute_agrees_with_itself_on_oh_vs_general(running_example):
     oh = normalize(running_example)
     assert brute_solve(running_example).value == brute_solve(oh).value
