@@ -12,7 +12,7 @@ from operator import or_
 from typing import Optional
 
 from .formula import Atom, OhClause, QcspInstance, QfFormula, flip_order
-from .formula import _ge_ne_product, _mplus_chain, _subst
+from .formula import _ge_ne_product, _mplus_chain, _subst, _tautology
 from .game import brute_solve
 from .orders import (
     OP_KEYS,
@@ -243,13 +243,12 @@ def ppsynt_shape(f: QfFormula) -> bool:
 
 def oh_shape(f: QfFormula) -> bool:
     """Syntactic Ord-Horn shape: after rewriting into {!=, >=} clauses, each
-    clause carries at most one order disjunct."""
+    clause that is not a tautology carries at most one order disjunct."""
     for clause in f.clauses:
         for lits in _ge_ne_product(clause):
-            if len({(a, b) for kind, a, b in lits if kind == "ge" and a != b}) > 1:
-                # a reflexive order disjunct makes the clause trivially true
-                if not any(kind == "ge" and a == b for kind, a, b in lits):
-                    return False
+            ge = {(a, b) for kind, a, b in lits if kind == "ge"}
+            if len(ge) > 1 and not _tautology(ge):
+                return False
     return True
 
 

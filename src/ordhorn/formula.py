@@ -377,6 +377,12 @@ def _ge_ne_product(clause):
     return _distribute([_GE_NE_FACTORS[a.op](a.left, a.right) for a in lower])
 
 
+def _tautology(ge) -> bool:
+    """True iff order literals ``ge``, as (a, b) for a >= b, make their clause
+    true in every linear order: one is reflexive, or two are a >= b and b >= a."""
+    return any(a == b or (b, a) in ge for a, b in ge)
+
+
 def _to_oh_clause(lits, names) -> Optional[OhClause]:
     """Turn a ge/ne literal clause into an OhClause, or None for a tautology."""
     vars_seen = set()
@@ -389,12 +395,7 @@ def _to_oh_clause(lits, names) -> Optional[OhClause]:
                 ne.append(frozenset((a, b)))
         else:
             ge.append((a, b))
-    # a reflexive order disjunct, or a pair a >= b | b >= a, is true in every
-    # linear order and so is the clause, except a lone x >= x (kept as a unit)
-    if any(g[0] == g[1] or g[::-1] in ge for g in ge):
-        if not ne and len(ge) == 1:
-            a = ge[0][0]
-            return OhClause(a, frozenset(), a)
+    if _tautology(ge) and (ne or len(ge) > 1):  # a lone x >= x goes on as a unit
         return None
     ne = list(dict.fromkeys(ne))
     ge = list(dict.fromkeys(ge))
