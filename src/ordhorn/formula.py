@@ -378,8 +378,8 @@ def _ge_ne_product(clause):
 
 
 def _tautology(ge) -> bool:
-    """True iff order literals ``ge``, as (a, b) for a >= b, make their clause
-    true in every linear order: one is reflexive, or two are a >= b and b >= a."""
+    """Whether order literals ``ge``, as (a, b) for a >= b, hold a reflexive one
+    or a mirror pair a >= b, b >= a; either makes their clause always true."""
     return any(a == b or (b, a) in ge for a, b in ge)
 
 
