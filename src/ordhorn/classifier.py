@@ -247,7 +247,7 @@ def oh_shape(f: QfFormula) -> bool:
     for clause in f.clauses:
         for lits in _ge_ne_product(clause):
             ge = {(a, b) for kind, a, b in lits if kind == "ge"}
-            if len(ge) > 1 and not _tautology(ge):
+            if len(ge) > 1 and not _tautology(lits):
                 return False
     return True
 

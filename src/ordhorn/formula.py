@@ -377,10 +377,18 @@ def _ge_ne_product(clause):
     return _distribute([_GE_NE_FACTORS[a.op](a.left, a.right) for a in lower])
 
 
-def _tautology(ge) -> bool:
-    """Whether order literals ``ge``, as (a, b) for a >= b, hold a reflexive one
-    or a mirror pair a >= b, b >= a; either makes their clause always true."""
-    return any(a == b or (b, a) in ge for a, b in ge)
+def _tautology(lits) -> bool:
+    """Whether a clause of ge/ne literals counts as a tautology: with under two
+    distinct order literals iff one is reflexive, with more iff it holds in
+    every weak order, that is iff its negation (a < b for each a >= b, a = b
+    for each a != b) fails ``ohsat.oh_sat``."""
+    ge = {(a, b) for kind, a, b in lits if kind == "ge"}
+    if len(ge) < 2:
+        return any(a == b for a, b in ge)
+    from .ohsat import OhConjunction, oh_sat
+
+    atoms = [Atom(a, "<" if kind == "ge" else "=", b) for kind, a, b in dict.fromkeys(lits)]
+    return not oh_sat(OhConjunction(1 + max(max(a, b) for _, a, b in lits), (), tuple(atoms)))
 
 
 def _to_oh_clause(lits, names) -> Optional[OhClause]:
@@ -395,7 +403,7 @@ def _to_oh_clause(lits, names) -> Optional[OhClause]:
                 ne.append(frozenset((a, b)))
         else:
             ge.append((a, b))
-    if _tautology(ge) and (ne or len(ge) > 1):  # a lone x >= x goes on as a unit
+    if _tautology(lits) and (ne or len(ge) > 1):  # a lone x >= x goes on as a unit
         return None
     ne = list(dict.fromkeys(ne))
     ge = list(dict.fromkeys(ge))

@@ -15,23 +15,24 @@ unsatisfiability persists as the clause set grows (known-unsatisfiable
 prefixes are not re-probed across passes).
 
 Each probe is one :func:`~ordhorn.ohsat.probe` call on the solver's
-:class:`~ordhorn.ohsat.ClauseSet`, with its upward set passed as a start
-index into the universals in prefix order.  The solver imports ``probe``
-as ``closure`` because the benchmark in ``perfbench/`` traces the probe
-under that name.
+:class:`~ordhorn.ohsat.ClauseSet`.  Upward set g is the suffix ``univ[g:]``
+of the universals ``univ`` in prefix order, so g is the probe's start index.
+The solver imports ``probe`` as ``closure`` because the benchmark in
+``perfbench/`` traces the probe under that name.
 
-The derivation log is the one record of derived clauses; events hold
-(pivot, partner mask, target) and build their ``OhClause`` on read.  Each
-pair derives a prefix of the nested upward sets, so an event repeats a
-clause iff its mask is its predecessor's or the clause is an input: its
-``duplicate`` flag.  ``Verdict.clause_keys`` is built on first read.
+The derivation log is the one record of derived clauses; its events are
+NamedTuples of ints and a bool holding (pivot, partner mask, target), and
+build their ``OhClause`` on read.  Each pair derives a prefix of the nested
+upward sets, so an event repeats a clause iff its mask is its predecessor's
+or the clause is an input: its ``duplicate`` flag.  ``Verdict.clause_keys``
+is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formula import OhClause, QcspInstance, ResourceLimitError, _mplus_chain, normalize
 from .ohsat import ClauseSet, _bits
@@ -42,8 +43,7 @@ class DialectError(ValueError):
     """Matrix clause outside the pure M+ dialect (compile first)."""
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationEvent:
+class DerivationEvent(NamedTuple):
     """One derivation of the clause x != p for p in ``partners`` (a bit
     mask) | x >= z, at upward-set start u; ``clause`` builds it on read."""
 
@@ -141,11 +141,10 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     n = inst.n_vars
     quants = inst.quants
     ups = _upset_masks(quants)
-    # distinct upward sets with the first prefix position attaining each
+    # distinct upward sets with the first prefix position attaining each;
+    # each drops one universal, so G[g] is the suffix univ[g:]
     G = [(u, ups[u]) for u in range(n) if u == 0 or ups[u] != ups[u - 1]]
-    # G[g] is the suffix univ[starts[g]:] of the universals in prefix order
-    univ = [v for v in range(n) if quants[v] == "A"]
-    starts = [len(univ) - mask.bit_count() for _, mask in G]
+    univ = inst.universals()
 
     clauses = ClauseSet(n, univ)
     edges = clauses.edges
@@ -168,7 +167,7 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         oracle_calls += 1
         if oracle_calls > max_probes:
             raise ResourceLimitError(f"solve exceeded {max_probes} probes")
-        return closure(clauses, x, z, starts[g])[0] is None
+        return closure(clauses, x, z, g)[0] is None
 
     def verdict(pair=None):
         """True, or false with the unit clause that rejects the pair."""

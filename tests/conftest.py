@@ -66,6 +66,16 @@ def memo_partition(memo, c_mask):
     return sorted([v for v in range(len(memo["cls"])) if c >> v & 1] for c in classes)
 
 
+# Hand-built fact minima, by the message of the StrategyUndefinedError they
+# raise, for three existentials.  P(x2, x1; {}) places x2 above x1; then
+# P(x3, y; {}) for both y makes x3 dominate level 1, and each P(y, x3; {})
+# asks x3 to equal y's level.
+UNDEFINED_STRATEGY_FACTS = {
+    "two distinct levels": {(1, 0): [0], (2, 0): [0], (2, 1): [0], (0, 2): [0], (1, 2): [0]},
+    "must equal level 0 but dominate up to 1": {(1, 0): [0], (2, 0): [0], (2, 1): [0], (0, 2): [0]},
+}
+
+
 def make_instance(quants, clauses, names=None):
     """Build a solver-dialect instance from (pivot, partners, target) triples."""
     n = len(quants)

@@ -458,6 +458,19 @@ def test_pp_def_projections():
         assert gadget_relation(pp_def_mplus(k)) == mu_relation(k)
 
 
+@pytest.mark.parametrize("k", [0, 6])
+def test_pp_def_rejects_k_outside_one_to_five(k):
+    with pytest.raises(ValueError, match="k must be in 1..5"):
+        pp_def_mplus(k)
+
+
+def test_short_tool_gadget_rejects_unknown_item_and_selector():
+    with pytest.raises(ValueError, match="item must be 1..5"):
+        short_tool_gadget(6)
+    with pytest.raises(ValueError, match="item 1 selects one of"):
+        short_tool_gadget(1, which="x")
+
+
 # --- sandwiches and gadgets ----------------------------------------------------
 
 
@@ -601,7 +614,7 @@ def test_classify_output_pinned():
             refused += outcome.startswith("HypothesisError")
             h.update(outcome.encode())
     assert (len(groups), verdicts.count(VERDICT_P), refused) == (182, 155, 143)
-    assert h.hexdigest() == "414b32cbc05a8e3105388ffcc5c315532ff3dfd2b9ac1456f279020a506803a8"
+    assert h.hexdigest() == "979d2d6f1a36ccf1df0b4a3c45c310bb656e1428cf9f5bb969c65b54c66d2aaa"
 
 
 @pytest.mark.parametrize("lower", ["lrGSM", "rlGSM"])

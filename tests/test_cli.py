@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from ordhorn.cli import EXIT_FAILED, EXIT_USAGE, build_parser, main
 from ordhorn.game import GameVerdict, Move, brute_solve
-from ordhorn.proofsystem import StrategyUndefinedError
+from ordhorn.proofsystem import FactBase, StrategyUndefinedError
 
-from conftest import load_perfbench
+from conftest import UNDEFINED_STRATEGY_FACTS, load_perfbench
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,6 +47,29 @@ def test_solve_and_brute_agree_on_fixtures(capsys):
         _, solve_out, _ = run(capsys, "solve", FIXTURES / f"{name}.qcsp")
         _, brute_out, _ = run(capsys, "brute", FIXTURES / f"{name}.qcsp")
         assert solve_out.strip() == brute_out.strip(), name
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "E a\nE b\nE c\nC a <= b | b <= c | c <= a\n",
+        "E a\nE b\nE c\nE d\nC a >= b | c >= d | a != b\n",
+    ],
+)
+def test_solve_agrees_with_brute_on_valid_clauses_of_several_order_literals(capsys, tmp_path, text):
+    # both clauses hold in every weak order, so normalize drops them
+    path = tmp_path / "valid.qcsp"
+    path.write_text("qcsp v1\n" + text)
+    solve_code, solve_out, _ = run(capsys, "solve", path)
+    brute_code, brute_out, _ = run(capsys, "brute", path)
+    assert (solve_code, solve_out) == (brute_code, brute_out) == (0, "true\n")
+
+
+def test_classify_calls_a_cycle_of_order_literals_syntactically_oh(capsys, tmp_path):
+    path = tmp_path / "cycle.rel"
+    path.write_text("rel v1\narity 3\nC x1 <= x2 | x2 <= x3 | x3 <= x1\n")
+    _, out, _ = run(capsys, "classify", path)
+    assert "oh_semantic: True\noh_syntactic: True\n" in out
 
 
 def test_reverse_order_gives_dual_verdict(capsys, tmp_path):
@@ -276,6 +299,20 @@ def test_verify_strategy_undefined_exits_failed(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-strategy", FIXTURES / "chain2.qcsp")
     assert (code, out) == (EXIT_FAILED, "")
     assert err == "strategy undefined (this falsifies well-definedness): no admissible position\n"
+
+
+@pytest.mark.parametrize("message", sorted(UNDEFINED_STRATEGY_FACTS))
+def test_verify_strategy_exits_failed_without_a_position(capsys, monkeypatch, tmp_path, message):
+    # the real ep_move, fed hand-built facts, finds no position for c,
+    # which the clause keeps in play
+    path = tmp_path / "three.qcsp"
+    path.write_text("qcsp v1\nE a\nE b\nE c\nC c >= a\n")
+    facts = FactBase(("a", "b", "c"), UNDEFINED_STRATEGY_FACTS[message], "complete", 0)
+    monkeypatch.setattr("ordhorn.cli.saturate", lambda inst, cap: facts)
+    code, out, err = run(capsys, "verify-strategy", path)
+    assert (code, out) == (EXIT_FAILED, "")
+    assert err.startswith("strategy undefined (this falsifies well-definedness): variable c ")
+    assert message in err
 
 
 def test_verify_strategy_loss_prints_the_trace(capsys, monkeypatch):
@@ -522,6 +559,17 @@ def test_selftest_failure_exits_failed(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--rounds", "2", "--seed", "1")
     assert code == EXIT_FAILED
     assert out.count("solver/oracle disagreement on:") == 380 + 2
+    assert out.endswith("selftest: FAIL\n")
+
+
+def test_selftest_oh_sat_disagreement_exits_failed(capsys, monkeypatch):
+    from ordhorn.ohsat import oh_sat
+
+    monkeypatch.setattr("ordhorn.ohsat.oh_sat", lambda conj: not oh_sat(conj))
+    code, out, _ = run(capsys, "selftest", "--rounds", "2", "--seed", "1")
+    assert code == EXIT_FAILED
+    assert out.count("oh_sat disagreement on ") == 2
+    assert "solver/oracle disagreement" not in out
     assert out.endswith("selftest: FAIL\n")
 
 

@@ -1,5 +1,6 @@
 """Parsing, printing, and normalization."""
 
+import itertools
 import random
 import re
 
@@ -13,12 +14,14 @@ from ordhorn.formula import (
     NotPivotedError,
     OhClause,
     ParseError,
+    _tautology,
     normalize,
     parse_instance,
     parse_relation,
     print_instance,
 )
 from ordhorn.game import ResourceLimitError, brute_solve
+from ordhorn.orders import enumerate_weak_orders
 from ordhorn.reductions import parse_dimacs
 
 from conftest import make_general, peak_bytes, random_general_instance
@@ -211,6 +214,29 @@ def test_normalize_deduplicates():
 def test_normalize_tautology_dropped():
     inst = make_general("EE", [[(0, "!=", 1), (0, ">=", 0)]])
     assert normalize(inst).matrix == ()
+
+
+def test_tautology_rule_is_weak_order_validity_on_four_variables():
+    """Every product on four variables of two or three distinct irreflexive
+    order literals and up to two disequalities is a tautology iff it holds
+    in every weak order."""
+    ges = [("ge", a, b) for a, b in itertools.permutations(range(4), 2)]
+    nes = [("ne", a, b) for a, b in itertools.combinations(range(4), 2)]
+    ranks = [w.ranks for w in enumerate_weak_orders(4)]
+    products = valid = 0
+    for k in (2, 3):
+        for ge in itertools.combinations(ges, k):
+            for j in (0, 1, 2):
+                for ne in itertools.combinations(nes, j):
+                    lits = ge + ne
+                    holds = all(
+                        any(r[a] >= r[b] if kind == "ge" else r[a] != r[b] for kind, a, b in lits)
+                        for r in ranks
+                    )
+                    assert _tautology(lits) == holds, lits
+                    products += 1
+                    valid += holds
+    assert (products, valid) == (6292, 5420)
 
 
 def test_normalize_idempotent_random():

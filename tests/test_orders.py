@@ -8,6 +8,7 @@ import pytest
 from ordhorn.classifier import QuantifiedFormula, gadget_relation
 from ordhorn.formula import Atom, QfFormula
 from ordhorn.orders import (
+    MAX_ENUM_ARITY,
     ArityTooLarge,
     WeakOrder,
     apply_op,
@@ -131,6 +132,17 @@ def test_apply_op_requires_zero():
         apply_op("pp", WeakOrder((0, 1)), WeakOrder((0, 1)))
     with pytest.raises(ValueError):
         apply_op("nope", WeakOrder((0,), zero_rank=0), WeakOrder((0,)))
+
+
+def test_apply_op_rejects_operands_of_different_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        apply_op("lex", WeakOrder((0, 1)), WeakOrder((0,)))
+
+
+def test_marked_enumeration_stops_one_below_the_arity_bound():
+    # the zero marker takes one of the MAX_ENUM_ARITY positions
+    with pytest.raises(ArityTooLarge, match="marked enumeration bound"):
+        next(enumerate_marked_orders(MAX_ENUM_ARITY))
 
 
 def _oh_single_clause_formulas(arity, max_pairs):

@@ -1,5 +1,6 @@
 """Saturation of the inference system, the strategy, and clause coverage."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,8 @@ from ordhorn.formula import normalize, print_instance
 from ordhorn.game import Move, brute_solve, play_against
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.proofsystem import (
+    FactBase,
+    StrategyUndefinedError,
     check_cover,
     ep_move,
     saturate,
@@ -16,7 +19,7 @@ from ordhorn.proofsystem import (
 )
 from ordhorn.solver import compile_to_mplus, cut_set, solve
 
-from conftest import make_instance
+from conftest import UNDEFINED_STRATEGY_FACTS, make_instance
 
 
 def naive_saturate(inst, max_facts=100_000):
@@ -292,6 +295,16 @@ def test_ep_move_rejects_incomplete_prefix():
             ep_move(inst, facts, partial, 1)
 
 
+@pytest.mark.parametrize("message", sorted(UNDEFINED_STRATEGY_FACTS))
+def test_ep_move_raises_when_the_strategy_is_undefined(message):
+    from ordhorn.orders import WeakOrder
+
+    inst = make_instance("EEE", [])
+    facts = FactBase(inst.names, UNDEFINED_STRATEGY_FACTS[message], "complete", 0)
+    with pytest.raises(StrategyUndefinedError, match=message):
+        ep_move(inst, facts, WeakOrder((0, 1)), 2)
+
+
 def test_strategy_wins_running_tournaments():
     rng = random.Random(3434)
     wins = 0
@@ -322,6 +335,14 @@ def test_check_cover_running_chain():
     facts = saturate(inst)
     verdict = solve(inst)
     assert check_cover(inst, facts, verdict)
+
+
+def test_check_cover_fails_without_the_derived_clauses():
+    inst = parallel_chain(3)
+    facts = saturate(inst)
+    verdict = solve(inst)
+    assert verdict.derived
+    assert not check_cover(inst, facts, dataclasses.replace(verdict, log=[]))
 
 
 def test_check_cover_random():
