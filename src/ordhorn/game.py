@@ -6,16 +6,18 @@ A position is the list of dense ranks of the placed variables, in prefix
 order, so variable ``len(ranks)`` moves next.  Memoization projects out placed
 variables that no longer occur in any unresolved clause.
 
-The open clauses are one int bit mask, bit ci for clause ci.  A node
-evaluates only the atoms that the variable placed last decided, those whose
-later endpoint it is, so it visits only the clauses holding such atoms.  An
-open clause with such an atom true is satisfied and its bit cleared; with none
-true it is falsified once that variable is its last, and stays open otherwise.
-That is enough: a gap move shifts ranks but keeps every order relation among
-the placed variables, so an atom decided higher up keeps its truth value, and
-in an open clause every such atom is false.  The root (play from a ``prefix``
-included) has no move above it, so it evaluates every atom among the placed
-variables and settles every clause.
+The open clauses are one int bit mask, bit ci for clause ci.  A parent
+settles each child in its move loop, on the atoms that the child's move
+decided, those whose later endpoint it places.  An open clause with such an
+atom true is satisfied and its bit cleared; with none true it is falsified
+once that variable is its last, and stays open otherwise.  That is enough: a
+gap move shifts ranks but keeps every order relation among the placed
+variables, so an atom decided higher up keeps its truth value, and in an open
+clause every such atom is false.  A refuted child is a loss for E and one with
+no open clause a win, with no call; only a child with clauses still open
+recurses, and every child counts as a node.  The root (play from a ``prefix``
+included) has no move above it, so it is settled once before the search, on
+every atom among the placed variables.
 """
 
 from __future__ import annotations
@@ -137,20 +139,11 @@ def brute_solve(
     quants = inst.quants
     decided, clause_bits = _decided_at(matrix, n, len(prefix))
     memo, live_vars = {}, {}
-    nodes = 0
 
     def search(ranks, n_levels, open_mask):
+        """(value, strategy) of a settled position with ``open_mask`` open."""
         nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
         next_var = len(ranks)
-        falsified, open_mask = _settle(open_mask, decided[next_var], ranks)
-        if falsified is not None:
-            return (False, None)
-        if not open_mask:  # always so once every variable is placed
-            return (True, {} if emit_strategy else None)
-
         key = None
         if not emit_strategy:
             live = live_vars.get((next_var, open_mask))
@@ -169,7 +162,16 @@ def brute_solve(
         value, branches = quants[next_var] == "A", {}
         for mv in legal_moves(n_levels):
             child, child_levels = play(ranks, mv, n_levels)
-            sub, sub_strat = search(child, child_levels, open_mask)
+            nodes += 1
+            if nodes > max_nodes:
+                raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
+            falsified, child_mask = _settle(open_mask, decided[next_var + 1], child)
+            if falsified is not None:
+                sub, sub_strat = False, None
+            elif not child_mask:  # always so once every variable is placed
+                sub, sub_strat = True, {} if emit_strategy else None
+            else:
+                sub, sub_strat = search(child, child_levels, child_mask)
             if emit_strategy and sub:
                 branches[mv.text()] = sub_strat
             if sub != value:
@@ -184,8 +186,14 @@ def brute_solve(
             return (True, {"var": inst.names[next_var], "move": move, "next": sub_strat})
         return (True, {"var": inst.names[next_var], "branches": branches})
 
+    nodes, ranks = 1, list(prefix)  # the root, settled here like any child
+    if nodes > max_nodes:
+        raise ResourceLimitError(f"game search exceeded {max_nodes} nodes")
+    falsified, open_mask = _settle((1 << len(matrix)) - 1, decided[len(prefix)], ranks)
     try:
-        value, strat = search(list(prefix), n_levels, (1 << len(matrix)) - 1)
+        value, strat = ((False, None) if falsified is not None else
+                        search(ranks, n_levels, open_mask) if open_mask else
+                        (True, {} if emit_strategy else None))
     finally:
         memo.clear()  # search refers to itself, so only the collector frees it
         live_vars.clear()

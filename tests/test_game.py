@@ -10,6 +10,7 @@ import random
 import pytest
 
 import ordhorn.game as game
+from ordhorn.cli import EXIT_RESOURCE, main
 from ordhorn.formula import Atom, QcspInstance, normalize, parse_instance
 from ordhorn.game import Move, ResourceLimitError, brute_solve, play_against
 from ordhorn.generators import random_mplus_instance
@@ -333,6 +334,20 @@ def test_oracle_output_is_pinned():
 
     outcomes = [play_against(inst, new_top_level) for inst, _ in instances[:12]]
     assert [(o.win, o.trace, o.violated) for o in outcomes] == LOSS_PINS
+
+
+def test_node_limit_trips_at_the_pinned_count(capsys):
+    # every position counts as a node, children settled without a call of
+    # their own included, so a budget of exactly the pinned count suffices
+    # and one less raises
+    cases = [(parse_instance((FIXTURES / name).read_text()), ()) for name in FIXTURE_PINS]
+    for inst, prefix in cases + _pinned_instances():
+        verdict = brute_solve(inst, prefix=prefix)
+        assert brute_solve(inst, prefix=prefix, max_nodes=verdict.nodes) == verdict
+        with pytest.raises(ResourceLimitError):
+            brute_solve(inst, prefix=prefix, max_nodes=verdict.nodes - 1)
+    assert main(["brute", str(FIXTURES / "chain2.qcsp"), "--max-nodes", "0"]) == EXIT_RESOURCE
+    assert "exceeded 0 nodes" in capsys.readouterr().err
 
 
 def _live_cache_entries():
