@@ -607,3 +607,55 @@ def test_brute_strategy_output_pinned(capsys):
             code, out, _ = run(capsys, "brute", path, "--emit-strategy", "--json", *extra)
             h.update(f"{path.name} {extra} {code}\n{out}".encode())
     assert h.hexdigest() == "5ccb5bb41e942ebd43a520c23237a0a1dbe5cf98a4682ec764995c5fffe459df"
+
+
+_PARSERS = ((), ("solve",), ("brute",), ("derive",), ("classify",), ("compile",),
+            ("reduce-3cnf",), ("verify-strategy",), ("selftest",))
+
+
+@pytest.mark.parametrize("argv", _PARSERS, ids=lambda argv: " ".join(("ordhorn",) + argv))
+def test_help_text_pinned(argv, capsys, monkeypatch):
+    """The SHA-256 of each parser's ``--help`` text at 80 columns: option
+    names, order, defaults and help wording."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HELP_SHA256[" ".join(argv)]
+
+
+HELP_SHA256 = {
+    "": "5b2c76cd4380a2363d14bfad7f00d8b92cc3261d97a3706ac1dcb69d432efaf9",
+    "solve": "b9dd66b3b3253f497bc6b9f768a6641d3cc377843bfd8711a86c50cf53152570",
+    "brute": "832316ccdd18d3d18be75fa2e50a89fb905e761b4d78cc653e4c01e6308da1bf",
+    "derive": "a82e2c9a74d0e623a9ca4c47a6be6642db6c606763fb125b83062e3700dcaa52",
+    "classify": "242c8a86fdd27512003967250213146fd949ade9c9c2e691d9457499312488e4",
+    "compile": "ffa0e46a20e855d993e40a3b49e5e25806ed9874e9836ef356e4ea59b07428d3",
+    "reduce-3cnf": "2a1353702342efa020d1fbd07aea5be26704d2746ea873ce6d4feda48946f3ab",
+    "verify-strategy": "876269c5446a1eccc8fe4b686ce5599ed54e44112be0c120ce6555b2b8a8b5b7",
+    "selftest": "1c85df0a0e84706804ae3f4674debc6d490d68bc102e8ad69ed72709de5813ed",
+}
+
+
+def test_selftest_output_pinned(capsys):
+    code, out, _ = run(capsys, "selftest", "--rounds", "25", "--seed", "1")
+    assert (code, out) == (0, SELFTEST_OUT)
+
+
+SELFTEST_OUT = (
+    "solver vs game oracle: 380 exhaustive instances checked\n"
+    "solver vs game oracle: 25 random instances checked\n"
+    "oh_sat vs weak-order brute force: 25 conjunctions checked\n"
+    "selftest: ok\n"
+)
+
+
+def test_reduce_3cnf_output_pinned(capsys):
+    """One SHA-256 over the exit code and stdout of ``reduce-3cnf`` on every
+    CNF fixture."""
+    h = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.cnf")):
+        code, out, _ = run(capsys, "reduce-3cnf", path)
+        h.update(f"{path.name} {code}\n{out}".encode())
+    assert h.hexdigest() == "389e75bca564ed1cf547a65e0ea6f35e2912fa6426865b8fa2f62ea6fc09b504"

@@ -128,3 +128,21 @@ def test_two_variable_cases():
     for cnf in cases:
         expected = not cnf.truth_table_sat()
         assert brute_solve(reduce_3cnf_complement(cnf)).value is expected
+
+
+def test_reduction_text_pinned():
+    """One SHA-256 over the gadget text of 200 seeded random 3-CNFs with 1-5
+    variables and 1-6 clauses, repeated literals included."""
+    import hashlib
+    import random
+
+    rng = random.Random(33)
+    h = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(1, 6))
+        )
+        h.update(reduction_text(Cnf3(n, clauses)).encode())
+    assert h.hexdigest() == "a22b7a5ff25590a1d297322741c2392b0b5b3c109d4c437329392361ee52ef0c"
