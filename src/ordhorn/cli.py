@@ -17,6 +17,7 @@ from .formula import (
     NotPivotedError,
     ParseError,
     QcspInstance,
+    QfFormula,
     ResourceLimitError,
     decimal,
     flip_order,
@@ -36,14 +37,6 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
-
-_FLAG_HELP = {
-    "json": "machine-readable output",
-    "quiet": "verdict-only output",
-    "reverse-order": "flip every order atom before processing (dual instance)",
-    "emit-strategy": "also print the existential player's winning strategy",
-}
-
 
 def non_negative_int(text):
     """argparse type of the count and limit options: plain decimals only."""
@@ -176,39 +169,31 @@ def _cmd_verify_strategy(args):
 def _cmd_selftest(args):
     from . import generators
     from .ohsat import OhConjunction, oh_sat
-    from .orders import enumerate_weak_orders, eval_clause
+    from .orders import enumerate_weak_orders, eval_qf
 
     rng = random.Random(args.seed)
     failures = 0
 
-    checked = 0
-    for inst in generators.exhaustive_mplus_instances(3, 2):
-        verdict = solve(inst)
-        truth = brute_solve(inst).value
-        checked += 1
-        if verdict.value != truth:
-            failures += 1
-            print(f"solver/oracle disagreement on: {print_instance(inst)!r}")
-    print(f"solver vs game oracle: {checked} exhaustive instances checked")
-
-    for _ in range(args.rounds):
-        inst = generators.random_mplus_instance(rng, max_vars=5, max_clauses=5)
-        if solve(inst).value != brute_solve(inst).value:
-            failures += 1
-            print(f"solver/oracle disagreement on: {print_instance(inst)!r}")
-    print(f"solver vs game oracle: {args.rounds} random instances checked")
+    suites = {
+        "exhaustive": generators.exhaustive_mplus_instances(3, 2),
+        "random": (generators.random_mplus_instance(rng, max_vars=5, max_clauses=5)
+                   for _ in range(args.rounds)),
+    }
+    for kind, instances in suites.items():
+        checked = 0
+        for checked, inst in enumerate(instances, 1):
+            if solve(inst).value != brute_solve(inst).value:
+                failures += 1
+                print(f"solver/oracle disagreement on: {print_instance(inst)!r}")
+        print(f"solver vs game oracle: {checked} {kind} instances checked")
 
     n = 4
     orders = list(enumerate_weak_orders(n))
     for _ in range(args.rounds):
         clauses, atoms = generators.random_oh_conjunction(rng, n)
         res = oh_sat(OhConjunction(n, tuple(clauses), tuple(atoms)))
-        brute = any(
-            all(eval_clause(c.atoms(), w.ranks) for c in clauses)
-            and all(eval_clause((a,), w.ranks) for a in atoms)
-            for w in orders
-        )
-        if bool(res) != brute:
+        formula = QfFormula(n, tuple(c.atoms() for c in clauses) + tuple((a,) for a in atoms))
+        if bool(res) != any(eval_qf(formula, w) for w in orders):
             failures += 1
             print(f"oh_sat disagreement on {clauses} {atoms}")
     print(f"oh_sat vs weak-order brute force: {args.rounds} conjunctions checked")
@@ -217,63 +202,62 @@ def _cmd_selftest(args):
     return EXIT_OK if failures == 0 else EXIT_FAILED
 
 
+_FLAG = {"action": "store_true"}
+_PAST_IT = "(exit 4 past it; default %(default)s)"
+
+#: Each option once, under the name that _COMMANDS lists it by: its flags,
+#: its help, and its other add_argument keywords.
+_OPTIONS = {
+    "file": ("file", None, {}),
+    "files": ("files", None, {"nargs": "+"}),
+    "output": ("-o --output", None, {}),
+    "json": ("--json", "machine-readable output", _FLAG),
+    "quiet": ("--quiet", "verdict-only output", _FLAG),
+    "reverse-order": ("--reverse-order", "flip every order atom before processing (dual instance)", _FLAG),
+    "emit-strategy": ("--emit-strategy", "also print the existential player's winning strategy", _FLAG),
+    "max-probes": ("--max-probes", f"oracle probe budget {_PAST_IT}",
+                   {"type": non_negative_int, "default": 100_000_000}),
+    "max-vars": ("--max-vars", "refuse instances with more variables (exit 4; default %(default)s)",
+                 {"type": non_negative_int, "default": 12}),
+    "game-nodes": ("--max-nodes", f"game-tree node budget {_PAST_IT}",
+                   {"type": non_negative_int, "default": 100_000_000}),
+    "replay-nodes": ("--max-nodes", f"replay node budget {_PAST_IT}",
+                     {"type": non_negative_int, "default": 100_000_000}),
+    "cap": ("--cap", f"stored-fact budget {_PAST_IT}", {"type": non_negative_int, "default": 10**6}),
+    "seed": ("--seed", "random seed (default %(default)s)", {"type": decimal, "default": 0}),
+    "rounds": ("--rounds", "random instances and conjunctions per suite (default %(default)s)",
+               {"type": non_negative_int, "default": 200}),
+}
+
+#: Each subcommand: its handler, its help, and the _OPTIONS it takes, in
+#: --help order; a command rejects any other option.
+_COMMANDS = {
+    "solve": (_cmd_solve, "decide an instance with the clause-deriving solver",
+              ("json", "reverse-order", "file", "max-probes")),
+    "brute": (_cmd_brute, "decide an instance by game-tree search",
+              ("json", "quiet", "reverse-order", "emit-strategy", "file", "max-vars", "game-nodes")),
+    "derive": (_cmd_derive, "saturate the proof system and dump its facts",
+               ("json", "quiet", "reverse-order", "file", "cap")),
+    "classify": (_cmd_classify, "analyse relation files", ("json", "files")),
+    "compile": (_cmd_compile, "compile an instance to pure M+ form", ("reverse-order", "file", "output")),
+    "reduce-3cnf": (_cmd_reduce, "emit the complement-of-SAT gadget", ("file", "output")),
+    "verify-strategy": (_cmd_verify_strategy, "play the derived strategy against all moves",
+                        ("quiet", "reverse-order", "file", "cap", "replay-nodes")),
+    "selftest": (_cmd_selftest, "run reduced-size cross-validation suites", ("seed", "rounds")),
+}
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(prog="ordhorn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, *flags):
-        """A subcommand taking the given store-true flags from _FLAG_HELP."""
-        p = sub.add_parser(name, help=help)
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        for flag in flags:
-            p.add_argument(f"--{flag}", action="store_true", help=_FLAG_HELP[flag])
-        return p
-
-    p = command("solve", _cmd_solve, "decide an instance with the clause-deriving solver",
-                "json", "reverse-order")
-    p.add_argument("file")
-    p.add_argument("--max-probes", type=non_negative_int, default=100_000_000,
-                   help="oracle probe budget (exit 4 past it; default %(default)s)")
-
-    p = command("brute", _cmd_brute, "decide an instance by game-tree search",
-                "json", "quiet", "reverse-order", "emit-strategy")
-    p.add_argument("file")
-    p.add_argument("--max-vars", type=non_negative_int, default=12,
-                   help="refuse instances with more variables (exit 4; default %(default)s)")
-    p.add_argument("--max-nodes", type=non_negative_int, default=100_000_000,
-                   help="game-tree node budget (exit 4 past it; default %(default)s)")
-
-    p = command("derive", _cmd_derive, "saturate the proof system and dump its facts",
-                "json", "quiet", "reverse-order")
-    p.add_argument("file")
-    p.add_argument("--cap", type=non_negative_int, default=10**6,
-                   help="stored-fact budget (exit 4 past it; default %(default)s)")
-
-    p = command("classify", _cmd_classify, "analyse relation files", "json")
-    p.add_argument("files", nargs="+")
-
-    p = command("compile", _cmd_compile, "compile an instance to pure M+ form", "reverse-order")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = command("reduce-3cnf", _cmd_reduce, "emit the complement-of-SAT gadget")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = command("verify-strategy", _cmd_verify_strategy,
-                "play the derived strategy against all moves", "quiet", "reverse-order")
-    p.add_argument("file")
-    p.add_argument("--cap", type=non_negative_int, default=10**6,
-                   help="stored-fact budget (exit 4 past it; default %(default)s)")
-    p.add_argument("--max-nodes", type=non_negative_int, default=100_000_000,
-                   help="replay node budget (exit 4 past it; default %(default)s)")
-
-    p = command("selftest", _cmd_selftest, "run reduced-size cross-validation suites")
-    p.add_argument("--seed", type=decimal, default=0, help="random seed (default %(default)s)")
-    p.add_argument("--rounds", type=non_negative_int, default=200,
-                   help="random instances and conjunctions per suite (default %(default)s)")
+        for option in options:
+            flags, help, keywords = _OPTIONS[option]
+            p.add_argument(*flags.split(), help=help, **keywords)
     return parser
 
 

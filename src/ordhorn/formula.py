@@ -290,6 +290,8 @@ def parse_instance(text: str) -> QcspInstance:
             if len(tokens) != 2:
                 raise ParseError("expected one variable name", line_no, 1)
             name = tokens[1]
+            if "|" in name:  # | separates a clause's disjuncts, so no clause could name it
+                raise ParseError(f"variable name {name!r} contains '|'", line_no, _column(line, 1))
             if name in declared:
                 raise ParseError(f"duplicate variable {name!r}", line_no, _column(line, 1))
             declared[name] = len(names)

@@ -91,27 +91,17 @@ def reduction_text(cnf: Cnf3) -> str:
     if m == 0:
         raise ParseError("the 3-CNF has no clauses")
     lines = ["qcsp v1", "E t", "E f"]
-    for i in range(1, n + 1):
-        lines.append(f"A y{i}_0")
-        lines.append(f"A y{i}_1")
+    pairs = [(f"y{i}_0", f"y{i}_1") for i in range(1, n + 1)]
+    lines += [f"A {y}" for pair in pairs for y in pair]
     lower = ["f"] + [f"c{i}" for i in range(1, n)] + ["v"]
     upper = ["t"] + [f"d{j}" for j in range(1, m)] + ["u"]
-    for name in lower[1:-1] + upper[1:-1] + ["u", "v"]:
-        lines.append(f"E {name}")
-
-    def label(lit: int) -> str:
-        return f"y{abs(lit)}_{1 if lit > 0 else 0}"
-
-    for i in range(1, n + 1):
-        src, dst = lower[i - 1], lower[i]
-        lines.append(f"C M+ {src} y{i}_0 {dst}")
-        lines.append(f"C M+ {src} y{i}_1 {dst}")
-        lines.append(f"C M+ {dst} {dst} {src}")
-    for j, clause in enumerate(cnf.clauses, start=1):
-        src, dst = upper[j - 1], upper[j]
-        for lit in clause:
-            lines.append(f"C M+ {src} {label(lit)} {dst}")
-        lines.append(f"C M+ {dst} {dst} {src}")
+    lines += [f"E {name}" for name in lower[1:-1] + upper[1:-1] + ["u", "v"]]
+    clause_labels = [[pairs[abs(lit) - 1][lit > 0] for lit in clause] for clause in cnf.clauses]
+    # each link of a chain: M+ src y dst through each of its labels y, then dst >= src
+    for chain, labels in ((lower, pairs), (upper, clause_labels)):
+        for src, dst, ys in zip(chain, chain[1:], labels):
+            lines += [f"C M+ {src} {y} {dst}" for y in ys]
+            lines.append(f"C M+ {dst} {dst} {src}")
     lines.append("C Z v f u t")
     return "\n".join(lines) + "\n"
 

@@ -659,3 +659,14 @@ def test_reduce_3cnf_output_pinned(capsys):
         code, out, _ = run(capsys, "reduce-3cnf", path)
         h.update(f"{path.name} {code}\n{out}".encode())
     assert h.hexdigest() == "389e75bca564ed1cf547a65e0ea6f35e2912fa6426865b8fa2f62ea6fc09b504"
+
+
+@pytest.mark.parametrize("decl", ["E a|b", "A a|b", "E |a", "E a|"])
+def test_variable_name_with_a_bar_is_refused_where_declared(tmp_path, capsys, decl):
+    # | separates disjuncts, so no clause could name such a variable
+    path = tmp_path / "bar.qcsp"
+    path.write_text(f"qcsp v1\nE c\n  {decl}\nC c >= c\n")
+    code, out, err = run(capsys, "solve", path)
+    name = decl.split()[1]
+    assert (code, out) == (3, "")
+    assert err == f"input error: line 3, col 5: variable name {name!r} contains '|'\n"

@@ -98,3 +98,32 @@ def test_each_top_level_name_has_one_home():
                 homes.setdefault(node.name, []).append(path.name)
     found = {name: files for name, files in homes.items() if len(files) > 1}
     assert not found, f"top-level names defined in several modules: {found}"
+
+
+def test_every_private_top_level_name_is_read_by_src():
+    # a private helper that no src code reads outside its own definition is
+    # kept for tests alone; a read counts in the defining module or in one
+    # that imports the name from it (dunder names are exempt)
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = []  # (module, name, defining statement)
+    readers = {}  # (home module, name) -> ids of the top-level statements that read it
+    for module, tree in trees.items():
+        homes = {a.asname or a.name: node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                 for a in node.names}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, stmt) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    readers.setdefault((homes.get(n.id, module), n.id), set()).add(id(stmt))
+    found = [f"{module}.py:{stmt.lineno} {name}" for module, name, stmt in defined
+             if not readers.get((module, name), set()) - {id(stmt)}]
+    assert not found, f"private names that no other src code reads: {found}"
