@@ -11,7 +11,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Optional
 
-from .formula import Atom, OhClause, QcspInstance, QfFormula, flip_order
+from .formula import Atom, OhClause, QcspInstance, QfFormula, ResourceLimitError, flip_order
 from .formula import _ge_ne_product, _mplus_chain, _subst, _tautology
 from .game import brute_solve
 from .orders import (
@@ -29,6 +29,10 @@ from .orders import (
 from .relations import TemporalRelation, catalogue
 
 MAX_SEMANTIC_ARITY = 6
+
+#: Most companion sets one goh_syntactic parse may try (exit 4 past it): the
+#: subset search doubles with each companion a guard can take.
+MAX_GOH_SPLITS = 10_000
 
 VERDICT_P = "P"
 VERDICT_HARD = "coNP-hard-unless-GOH-definable"
@@ -299,6 +303,7 @@ def goh_syntactic(f: QfFormula) -> bool:
         if norm is None:
             return False
         clauses.append(norm)
+    tried = itertools.count(1)
 
     def splits(group):
         """(residues, outside) for each pure-<= guard in ``group`` and each
@@ -311,6 +316,8 @@ def goh_syntactic(f: QfFormula) -> bool:
             candidates = [i for i, c in enumerate(rest) if needed <= set(c)]
             for size in range(1, len(candidates) + 1):
                 for combo in itertools.combinations(candidates, size):
+                    if next(tried) > MAX_GOH_SPLITS:
+                        raise ResourceLimitError(f"guarded Ord-Horn parse exceeded {MAX_GOH_SPLITS} splits")
                     residues = tuple(tuple(lit for lit in rest[i] if lit not in needed) for i in combo)
                     # an empty residue would certify falsity, not truth
                     if all(residues):

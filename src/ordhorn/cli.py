@@ -89,7 +89,7 @@ def _cmd_brute(args):
         print(json.dumps(out, indent=2))
     else:
         print("true" if verdict.value else "false")
-        if args.emit_strategy and verdict.strategy is not None and not args.quiet:
+        if args.emit_strategy and verdict.strategy is not None:
             print(json.dumps(verdict.strategy, indent=2))
     return EXIT_OK
 
@@ -235,7 +235,7 @@ _COMMANDS = {
     "solve": (_cmd_solve, "decide an instance with the clause-deriving solver",
               ("json", "reverse-order", "file", "max-probes")),
     "brute": (_cmd_brute, "decide an instance by game-tree search",
-              ("json", "quiet", "reverse-order", "emit-strategy", "file", "max-vars", "game-nodes")),
+              ("json", "reverse-order", "emit-strategy", "file", "max-vars", "game-nodes")),
     "derive": (_cmd_derive, "saturate the proof system and dump its facts",
                ("json", "quiet", "reverse-order", "file", "cap")),
     "classify": (_cmd_classify, "analyse relation files", ("json", "files")),
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except (ParseError, NotPivotedError, DialectError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResourceLimitError, ArityTooLarge) as exc:
+    except (ResourceLimitError, ArityTooLarge, RecursionError) as exc:  # searches recurse per variable
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except StrategyUndefinedError as exc:

@@ -15,18 +15,15 @@ it, so numbering the classes by that count gives distinct classes distinct
 values in a topological order, which satisfies every clause that never
 fired.  A SAT model is any such witnessing order.
 
-There is one closure engine behind two entry points, and one clause index
-feeds both: a :class:`ClauseSet`, built only by :meth:`ClauseSet.add`.  It
+There is one closure engine behind two entry points, :func:`oh_sat` for a
+conjunction and :func:`probe` for the solver, and one clause index feeds
+both: a :class:`ClauseSet`, built only by :meth:`ClauseSet.add`.  It
 indexes each clause (partner mask ``pmasks[i]``, target ``targets[i]``,
 -1 for none) under its pivot in ``by_pivot``, and the engine re-examines a
 clause only when its pivot's class grows.  So a partner-free clause is kept
 as a plain ``<=`` edge (``add`` rejects one without an order disjunct,
 which callers refute at once), and a clause left out of ``by_pivot`` never
 fires.
-
-:func:`closure` decides a clause set with extra atoms, returning each
-variable's level in a model or a refutation certificate; :func:`oh_sat`
-builds the set of a conjunction and calls it.
 
 The solver grows one :class:`ClauseSet`, which also keeps a mask of the
 pivots of its clauses, one variable order (the solver's universals in
@@ -143,37 +140,6 @@ def _fixpoint(cs, edges, events):
                         return None
                     work.append((targets[i], p))
     return up, down
-
-
-def closure(cs, eqs, lts, nes):
-    """Order-mask closure over the clause set ``cs`` (its indexed clauses and
-    its unit edges) and the atoms x = y (eqs), x < y (lts) and x != y (nes).
-
-    Returns (level, None) on success, level[v] being v's level in a model:
-    variables share a level iff they share a class, and distinct classes
-    get distinct levels 0, 1, ... in a topological order.  On refutation it
-    returns (None, certificate), the event sequence: ("merge", a, b) for
-    each edge a <= b that closed a cycle, ("fire", i) for each fired clause
-    id of ``cs``, then one of ("empty-clause", i), ("strict-cycle", a, b) or
-    ("forced-equal", a, b).
-    """
-    events = []
-    edges = [e for a, b in eqs for e in ((a, b), (b, a))]
-    masks = _fixpoint(cs, [*edges, *cs.edges, *lts], events)
-    if masks is None:
-        return None, events
-    up, down = masks
-    cls = [u & d for u, d in zip(up, down)]
-    for kind, pairs in (("strict-cycle", lts), ("forced-equal", nes)):
-        for a, b in pairs:
-            if cls[a] >> b & 1:
-                events.append((kind, a, b))
-                return None, events
-    rep = [(c & -c).bit_length() - 1 for c in cls]
-    # a class strictly below another has fewer variables at or below it
-    ranked = sorted(set(rep), key=lambda r: (down[r].bit_count(), -r))
-    level = {r: i for i, r in enumerate(ranked)}
-    return [level[r] for r in rep], None
 
 
 class ClauseSet:
@@ -319,7 +285,15 @@ def probe(cs, x, z, j):
 
 
 def oh_sat(conj: OhConjunction):
-    """Decide a conjunction; SAT answers carry a witnessing weak order."""
+    """Decide a conjunction by the mask fixpoint over its clauses and atoms.
+
+    A SAT answer's model puts v at its level: variables share a level iff
+    they share a class, and distinct classes get distinct levels 0, 1, ...
+    in a topological order.  An UNSAT answer's certificate is the event
+    sequence: ("merge", a, b) for each edge a <= b that closed a cycle,
+    ("fire", i) for each fired clause i of ``conj.clauses``, then one of
+    ("empty-clause", i), ("strict-cycle", a, b) or ("forced-equal", a, b).
+    """
     eqs, les, lts, nes = _normalize_atoms(conj.atoms)
     cs = ClauseSet(conj.n_vars, ())
     for a, b in les:
@@ -328,12 +302,24 @@ def oh_sat(conj: OhConjunction):
         if c.is_false():
             return UnsatResult([("fire", i), ("empty-clause", i)])
         cs.add(c.pivot, sum(1 << p for p in c.partners), -1 if c.target is None else c.target)
+    events = []
+    eq_edges = [e for a, b in eqs for e in ((a, b), (b, a))]
+    masks = _fixpoint(cs, [*eq_edges, *cs.edges, *lts], events)
+    if masks is not None:
+        up, down = masks
+        cls = [u & d for u, d in zip(up, down)]
+        pairs = [("strict-cycle", a, b) for a, b in lts] + [("forced-equal", a, b) for a, b in nes]
+        clash = next((e for e in pairs if cls[e[1]] >> e[2] & 1), None)
+        if clash is None:
+            rep = [(c & -c).bit_length() - 1 for c in cls]
+            # a class strictly below another has fewer variables at or below it
+            ranked = sorted(set(rep), key=lambda r: (down[r].bit_count(), -r))
+            level = {r: i for i, r in enumerate(ranked)}
+            return SatResult(WeakOrder(tuple(level[r] for r in rep)))
+        events.append(clash)
     ids = [i for i, c in enumerate(conj.clauses) if c.partners]  # cs's clause ids in conj.clauses
-    level, cert = closure(cs, eqs, lts, nes)
-    if level is None:
-        # the two-field events, fire and empty-clause, name a clause id
-        return UnsatResult([(e[0], ids[e[1]]) if len(e) == 2 else e for e in cert])
-    return SatResult(WeakOrder(tuple(level)))
+    # the two-field events, fire and empty-clause, name a clause id
+    return UnsatResult([(e[0], ids[e[1]]) if len(e) == 2 else e for e in events])
 
 
 def entails(conj: OhConjunction, atom: Atom) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import pathlib
 import random
@@ -6,6 +7,8 @@ import tracemalloc
 import pytest
 
 from ordhorn.formula import Atom, OhClause, QcspInstance, parse_instance
+from ordhorn.ohsat import OhConjunction, _bits, oh_sat
+from ordhorn.orders import enumerate_weak_orders, eval_clause
 
 # Example: exists x1 forall x2 exists x3 forall x4 exists x5 with the five
 # constraints whose run rejects via (x1=x2 => x1>=x3) and then (x1 >= x4).
@@ -50,20 +53,54 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-def partition(level):
-    """The classes of a plain closure's ``level`` list (the variables of
-    each level), as sorted lists."""
-    classes = {}
-    for v, r in enumerate(level):
-        classes.setdefault(r, set()).add(v)
-    return sorted(sorted(c) for c in classes.values())
+@functools.cache
+def weak_orders(n):
+    """Every weak order of n variables, enumerated once per n."""
+    return tuple(enumerate_weak_orders(n))
 
 
-def memo_partition(memo, c_mask):
-    """The classes after a SAT memo probe: its grown class ``c_mask`` and
-    every other variable's base class from ``memo["cls"]``."""
-    classes = {c_mask} | {c for c in memo["cls"] if not c & c_mask}
-    return sorted([v for v in range(len(memo["cls"])) if c >> v & 1] for c in classes)
+def model_satisfies(conj, w):
+    """Does the weak order w satisfy every clause and atom of conj?"""
+    return all(eval_clause(c.atoms(), w.ranks) for c in conj.clauses) and all(
+        eval_clause((a,), w.ranks) for a in conj.atoms
+    )
+
+
+def brute_sat(conj):
+    """Independent oracle: search all weak orders for a satisfying one."""
+    return any(model_satisfies(conj, w) for w in weak_orders(conj.n_vars))
+
+
+def live_conjunction(cs, atoms=()):
+    """The clause set ``cs`` as a conjunction: its indexed clauses (a retired
+    entry is entailed by its pair's unit edge) and its unit edges as <=
+    atoms, then ``atoms``."""
+    clauses = tuple(
+        OhClause(p, frozenset(_bits(cs.pmasks[i])), cs.targets[i] if cs.targets[i] >= 0 else None)
+        for p, ids in cs.by_pivot.items()
+        for i in ids
+    )
+    return OhConjunction(cs.n, clauses, tuple(Atom(a, "<=", b) for a, b in cs.edges) + tuple(atoms))
+
+
+def check_probe(cs, x, z, j, got):
+    """Check the ``probe(cs, x, z, j)`` answer ``got`` against ``oh_sat`` on
+    the same question (x equal to ``cs.order[j:]`` less x and z, and x < z,
+    over the live conjunction of ``cs``): the same answer and, when
+    satisfiable, the same classes, the probe's grown class ``got[0]`` beside
+    every other variable's base class from the memo."""
+    eqs = [Atom(x, "=", v) for v in cs.order[j:] if v != x and v != z]
+    res = oh_sat(live_conjunction(cs, [*eqs, Atom(x, "<", z)]))
+    assert (got[0] is None) == (not res), (cs.__dict__, x, z, j)
+    if res:
+        c_mask, cls = got[0], cs.memo["cls"]
+        probed = {c_mask} | {c for c in cls if not c & c_mask}
+        classes = {}
+        for v, r in enumerate(res.model.ranks):
+            classes.setdefault(r, []).append(v)
+        assert sorted([v for v in range(cs.n) if c >> v & 1] for c in probed) == sorted(
+            classes.values()
+        ), (cs.__dict__, x, z, j)
 
 
 # Hand-built fact minima, by the message of the StrategyUndefinedError they

@@ -31,13 +31,13 @@ from ordhorn.generators import (
     random_oh_conjunction,
 )
 from ordhorn.ohsat import OhConjunction, oh_sat
-from ordhorn.orders import enumerate_weak_orders, eval_clause, eval_qf, relation_of
+from ordhorn.orders import eval_qf, relation_of
 from ordhorn.proofsystem import ep_move, saturate, uncovered_facts
 from ordhorn.reductions import Cnf3, reduce_3cnf_complement
 from ordhorn.relations import TemporalRelation, catalogue
 from ordhorn.solver import compile_to_mplus, solve
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, brute_sat, model_satisfies
 
 
 def report(criterion, budget, elapsed, detail):
@@ -77,21 +77,6 @@ def test_criterion_02_oracle_equivalence():
     report(2, 600.0, time.monotonic() - t0, f"{checked} exhaustive + 1000 random, 0 disagreements")
 
 
-def _brute_conjunction_sat(conj, orders):
-    for w in orders:
-        if all(eval_clause(c.atoms(), w.ranks) for c in conj.clauses) and all(
-            eval_clause((a,), w.ranks) for a in conj.atoms
-        ):
-            return True
-    return False
-
-
-def _model_ok(conj, w):
-    return all(eval_clause(c.atoms(), w.ranks) for c in conj.clauses) and all(
-        eval_clause((a,), w.ranks) for a in conj.atoms
-    )
-
-
 def test_criterion_03_oh_sat_completeness():
     t0 = time.monotonic()
     # exhaustive family: every conjunction of at most three components
@@ -113,7 +98,6 @@ def test_criterion_03_oh_sat_completeness():
         for op in ("=", "!=", "<=", "<")
     ]
     components = [("c", c) for c in clause_pool] + [("a", a) for a in atom_pool]
-    orders3 = list(enumerate_weak_orders(3))
     checked = 0
     for k in range(1, 4):
         for combo in itertools.combinations(components, k):
@@ -121,20 +105,20 @@ def test_criterion_03_oh_sat_completeness():
             atoms = tuple(a for kind, a in combo if kind == "a")
             conj = OhConjunction(3, clauses, atoms)
             res = oh_sat(conj)
-            assert bool(res) == _brute_conjunction_sat(conj, orders3), conj
+            assert bool(res) == brute_sat(conj), conj
             if res:
-                assert _model_ok(conj, res.model), conj
+                assert model_satisfies(conj, res.model), conj
             checked += 1
+    assert checked == 30913  # 57 components, one to three of them
 
     rng = random.Random(30303)
-    orders5 = list(enumerate_weak_orders(5))
     for _ in range(10_000):
         clauses, atoms = random_oh_conjunction(rng, 5)
         conj = OhConjunction(5, tuple(clauses), tuple(atoms))
         res = oh_sat(conj)
-        assert bool(res) == _brute_conjunction_sat(conj, orders5), conj
+        assert bool(res) == brute_sat(conj), conj
         if res:
-            assert _model_ok(conj, res.model), conj
+            assert model_satisfies(conj, res.model), conj
     report(3, 300.0, time.monotonic() - t0, f"{checked} exhaustive + 10000 random, 0 disagreements")
 
 

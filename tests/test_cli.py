@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line interface."""
 
 import hashlib
+import itertools
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -449,6 +451,33 @@ def test_resource_limit_exit(capsys):
     assert code == 4
 
 
+def test_recursion_past_the_stack_is_a_resource_limit(capsys, tmp_path):
+    # brute's search and verify-strategy's replay recurse once per variable
+    path = tmp_path / "chain1000.qcsp"
+    path.write_text("qcsp v1\n" + "".join(f"E x{i}\n" for i in range(1000)) + "C x999 >= x0\n")
+    for argv in (("verify-strategy",), ("brute", "--max-vars", "1000")):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("resource limit:") and "recursion depth" in err, argv
+        assert "Traceback" not in err
+
+
+def test_classify_past_the_guarded_parse_bound_exits_4(capsys, tmp_path):
+    from ordhorn.classifier import MAX_GOH_SPLITS
+
+    # the guard x1 <= x2 may take any nonempty set of its 14 companions, and
+    # the last clause, which no guard takes, fails every parse
+    pairs = [(a, b) for a, b in itertools.permutations(range(1, 6), 2) if {a, b} != {1, 2}]
+    companions = "".join(f"C x1 != x2 | x{a} < x{b}\n" for a, b in pairs[:14])
+    path = tmp_path / "guarded.rel"
+    path.write_text("rel v1\narity 5\nC x1 <= x2\n" + companions + "C x3 != x4 | x1 <= x3\n")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "classify", path)
+    assert time.monotonic() - t0 < 5
+    assert (code, out) == (4, "")
+    assert err == f"resource limit: guarded Ord-Horn parse exceeded {MAX_GOH_SPLITS} splits\n"
+
+
 def test_solve_probe_budget(capsys, tmp_path):
     # two variables and no universals: one probe per ordered pair
     path = tmp_path / "two.qcsp"
@@ -498,6 +527,7 @@ def test_usage_error_exit():
     "argv",
     [
         ["solve", "x.qcsp", "--quiet"],
+        ["brute", "x.qcsp", "--quiet"],
         ["classify", "x.rel", "--quiet"],
         ["compile", "x.qcsp", "--json"],
         ["compile", "x.qcsp", "--quiet"],
@@ -628,7 +658,7 @@ def test_help_text_pinned(argv, capsys, monkeypatch):
 HELP_SHA256 = {
     "": "5b2c76cd4380a2363d14bfad7f00d8b92cc3261d97a3706ac1dcb69d432efaf9",
     "solve": "b9dd66b3b3253f497bc6b9f768a6641d3cc377843bfd8711a86c50cf53152570",
-    "brute": "832316ccdd18d3d18be75fa2e50a89fb905e761b4d78cc653e4c01e6308da1bf",
+    "brute": "e3e0f660539954587e81c1ae40478091aa444058c6a55921605f9596e40e0a77",
     "derive": "a82e2c9a74d0e623a9ca4c47a6be6642db6c606763fb125b83062e3700dcaa52",
     "classify": "242c8a86fdd27512003967250213146fd949ade9c9c2e691d9457499312488e4",
     "compile": "ffa0e46a20e855d993e40a3b49e5e25806ed9874e9836ef356e4ea59b07428d3",

@@ -1,6 +1,5 @@
 """The OH satisfiability oracle against weak-order brute force."""
 
-import itertools
 import random
 
 import pytest
@@ -8,24 +7,9 @@ import pytest
 from ordhorn.formula import Atom, OhClause
 from ordhorn.generators import parallel_chain, random_mplus_instance, random_oh_conjunction
 from ordhorn.ohsat import OhConjunction, entails, oh_sat
-from ordhorn.orders import WeakOrder, enumerate_weak_orders, eval_clause
 
-from conftest import RUNNING_EXAMPLE, memo_partition, partition
+from conftest import RUNNING_EXAMPLE, brute_sat, check_probe, live_conjunction, model_satisfies
 from ordhorn.formula import parse_instance, normalize
-
-
-def brute_sat(conj):
-    """Independent oracle: search all weak orders for a satisfying one."""
-    for w in enumerate_weak_orders(conj.n_vars):
-        if model_satisfies(conj, w):
-            return True
-    return False
-
-
-def model_satisfies(conj, w):
-    return all(eval_clause(c.atoms(), w.ranks) for c in conj.clauses) and all(
-        eval_clause((a,), w.ranks) for a in conj.atoms
-    )
 
 
 def running_conjunction(extra_atoms):
@@ -83,43 +67,6 @@ def test_entails_equality_splits():
     conj = OhConjunction(2, (), (Atom(0, "<=", 1), Atom(1, "<=", 0)))
     assert entails(conj, Atom(0, "=", 1))
     assert not entails(conj, Atom(0, "!=", 1))
-
-
-def _exhaustive_small_conjunctions():
-    """All conjunctions of at most two components over three variables."""
-    clause_pool = []
-    for pivot in range(3):
-        others = [v for v in range(3) if v != pivot]
-        for k in range(3):
-            for partners in itertools.combinations(others, k):
-                for target in [None] + others:
-                    if not partners and target is None:
-                        continue
-                    clause_pool.append(OhClause(pivot, frozenset(partners), target))
-    atom_pool = [
-        Atom(a, op, b)
-        for a in range(3)
-        for b in range(3)
-        if a != b
-        for op in ("=", "!=", "<=", "<")
-    ]
-    components = [("c", c) for c in clause_pool] + [("a", a) for a in atom_pool]
-    for k in range(1, 3):
-        for combo in itertools.combinations(components, k):
-            clauses = tuple(c for kind, c in combo if kind == "c")
-            atoms = tuple(a for kind, a in combo if kind == "a")
-            yield OhConjunction(3, clauses, atoms)
-
-
-def test_completeness_exhaustive_small():
-    checked = 0
-    for conj in _exhaustive_small_conjunctions():
-        res = oh_sat(conj)
-        assert bool(res) == brute_sat(conj), conj
-        if res:
-            assert model_satisfies(conj, res.model), conj
-        checked += 1
-    assert checked == 1653  # 57 components, singletons plus unordered pairs
 
 
 def test_completeness_random():
@@ -181,12 +128,10 @@ def test_model_uses_distinct_levels_per_class():
 
 
 def test_sccs_match_mutual_reachability():
-    """closure on seeded random graphs with duplicate edges and self-loops,
-    given as the unit edges of a clause set: variables share a level iff they
-    reach each other, a variable's level is at most that of every variable
-    it reaches, and the levels are 0, 1, ... with none skipped."""
-    from ordhorn.ohsat import ClauseSet, closure
-
+    """oh_sat on seeded random graphs with duplicate edges and self-loops,
+    given as <= atoms: variables share a level iff they reach each other, a
+    variable's level is at most that of every variable it reaches, and the
+    levels are 0, 1, ... with none skipped."""
     rng = random.Random(1972)
     for _ in range(2000):
         n = rng.randint(1, 12)
@@ -209,10 +154,7 @@ def test_sccs_match_mutual_reachability():
                         seen.add(w)
                         todo.append(w)
             reach.append(seen)
-        cs = ClauseSet(n, ())
-        for a, b in edges:
-            cs.add(b, 0, a)  # the edge a <= b
-        level, _ = closure(cs, [], [], [])
+        level = oh_sat(OhConjunction(n, (), tuple(Atom(a, "<=", b) for a, b in edges))).model.ranks
         assert sorted(set(level)) == list(range(len(set(level))))
         for v in range(n):
             for w in range(n):
@@ -222,53 +164,32 @@ def test_sccs_match_mutual_reachability():
 
 
 def test_closure_matches_weak_order_brute_force():
-    """The closure engine on random clause sets (partner-free clauses as
-    edges, entries retired the solver's way) with equality, strict and
-    disequality atoms, against weak-order brute force over the set's indexed
-    clauses and edges; SAT answers must come with a class order that yields
-    a model.  More than 900 answers are UNSAT and more than 500 entries are
-    retired."""
-    from ordhorn.ohsat import _bits, closure
-
+    """oh_sat on the live conjunction of random clause sets (partner-free
+    clauses as edges, entries retired the solver's way) with equality,
+    strict and disequality atoms, against weak-order brute force; SAT
+    answers must come with a model.  More than 900 answers are UNSAT and
+    more than 500 entries are retired."""
     rng = random.Random(909)
-    orders = {n: list(enumerate_weak_orders(n)) for n in range(2, 6)}
     unsat = retired = 0
     for _ in range(1500):
         n = rng.randint(2, 5)
         cs = _random_clause_set(rng, n, ())
-        live = []  # the indexed clauses; a retired entry is entailed by its unit edge
-        for p, ids in cs.by_pivot.items():
-            for i in ids:
-                t = cs.targets[i]
-                live.append(OhClause(p, frozenset(_bits(cs.pmasks[i])), t if t >= 0 else None))
-        retired += len(cs.pmasks) - len(live)
-        eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
-        lts = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
-        nes = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
-        atoms = (
-            [Atom(a, "=", b) for a, b in eqs]
-            + [Atom(a, "<=", b) for a, b in cs.edges]
-            + [Atom(a, "<", b) for a, b in lts]
-            + [Atom(a, "!=", b) for a, b in nes]
-        )
-        conj = OhConjunction(n, tuple(live), tuple(atoms))
-        level, cert = closure(cs, eqs, lts, nes)
-        truth = any(model_satisfies(conj, w) for w in orders[n])
-        assert (level is not None) == truth, conj
-        if level is None:
-            unsat += 1
-            assert cert
+        retired += len(cs.pmasks) - sum(map(len, cs.by_pivot.values()))
+        atoms = [
+            Atom(rng.randrange(n), op, rng.randrange(n))
+            for op in ("=", "<", "!=")
+            for _ in range(rng.randint(0, 2))
+        ]
+        conj = live_conjunction(cs, atoms)
+        res = oh_sat(conj)
+        assert bool(res) == brute_sat(conj), conj
+        if res:
+            assert model_satisfies(conj, res.model), conj
         else:
-            assert cert is None
-            assert sorted(set(level)) == list(range(len(set(level))))
-            assert model_satisfies(conj, WeakOrder(tuple(level))), conj
+            unsat += 1
+            assert res.certificate
     assert unsat > 900
     assert retired > 500
-
-
-def _plain_eqs(x, z, order, j):
-    """A memo probe's equalities (order, j) as the plain closure's pairs."""
-    return [(x, v) for v in order[j:] if v != x and v != z]
 
 
 def _random_clause_set(rng, n, order):
@@ -296,17 +217,10 @@ def _random_clause_set(rng, n, order):
     return cs
 
 
-def _plain_closure(cs, x, z, j):
-    """The plain closure of a memo probe's conjunction over ``cs``."""
-    from ordhorn.ohsat import closure
-
-    return closure(cs, _plain_eqs(x, z, cs.order, j), [(x, z)], [])
-
-
 def test_memo_probe_matches_plain_closure():
     """Probes answered from a base-fixpoint memo (x equated to a suffix of a
-    variable order, one strict atom x < z) against the plain closure of the
-    same conjunction: same answer and, when satisfiable, the same class
+    variable order, one strict atom x < z) against oh_sat on the same
+    conjunction: same answer and, when satisfiable, the same class
     partition.  Two probes share each fresh memo.  A probe whose base
     fixpoint is refuted leaves the memo empty and ends its certificate with
     the clause that emptied it.  More than 100 entries are retired."""
@@ -323,13 +237,10 @@ def test_memo_probe_matches_plain_closure():
             j = rng.randint(0, len(cs.order))
             was_empty = not cs.memo
             got = probe(cs, x, z, j)
-            level, _ = _plain_closure(cs, x, z, j)
-            assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
+            check_probe(cs, x, z, j, got)
             if got[0] is None:
                 unsat += 1
                 assert got[2]
-            else:
-                assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
             if was_empty and not cs.memo:
                 base_refuted += 1
                 assert got[2][-1][0] == "empty-clause", (cs.__dict__, x, z, j)
@@ -378,8 +289,8 @@ def _range_probe_cases(inst):
 
 
 def _sweep(cs, seen, new_id=None):
-    """Memo probes (x, z, j) of the clause set ``cs`` against the plain
-    closure, for every pair and each suffix start j that puts x or z at an
+    """Memo probes (x, z, j) of the clause set ``cs`` against oh_sat,
+    for every pair and each suffix start j that puts x or z at an
     end of order[j:] or just before it, so that z splits the suffix at its
     first, a middle and its last entry; ``seen`` counts where z and x sit
     relative to order[j:].  Returns how many probes fired clause ``new_id``."""
@@ -398,12 +309,10 @@ def _sweep(cs, seen, new_id=None):
                     ends |= {at[v], at[v] + 1}
             for j in sorted(e for e in ends if 0 <= e <= m):
                 got = probe(cs, x, z, j)
-                level, _ = _plain_closure(cs, x, z, j)
-                assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
+                check_probe(cs, x, z, j, got)
                 if got[0] is None:
                     fired = {e[1] for e in got[2] if e[0] == "fire"}
                 else:
-                    assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
                     fired = set(got[3])
                 fired_new += new_id in fired
                 iz = at.get(z, -1)
@@ -426,8 +335,8 @@ def test_memo_probe_range_split():
     """The memo probe starts from suffix ORs over the universals; when z lies
     in the suffix, it ORs the suffix after z with the entries before z.
     Probes of every pair of chains 1..9 (18 universals) and of seeded
-    random instances, at the suffix starts ``_sweep`` picks, agree with the
-    plain closure, also after ``ClauseSet.add`` takes a live clause with a
+    random instances, at the suffix starts ``_sweep`` picks, agree with
+    oh_sat, also after ``ClauseSet.add`` takes a live clause with a
     new pivot, which keeps the memo."""
     from collections import Counter
 
@@ -462,7 +371,7 @@ def test_memo_probe_range_split():
 
 def _shared_sweep(cs, rng, hits):
     """Memo probes (x, z, j) of ``cs`` with z outside order[j:], every such
-    z of each (x, j) in a shuffled order, against the plain closure;
+    z of each (x, j) in a shuffled order, against oh_sat;
     ``hits`` counts the SAT and UNSAT answers whose (x, j) was in
     ``memo["grown"]``."""
     from ordhorn.ohsat import probe
@@ -475,10 +384,7 @@ def _shared_sweep(cs, rng, hits):
             for z in zs:
                 stored = (x, j) in cs.memo.get("grown", ())
                 got = probe(cs, x, z, j)
-                level, _ = _plain_closure(cs, x, z, j)
-                assert (got[0] is None) == (level is None), (cs.__dict__, x, z, j)
-                if got[0] is not None:
-                    assert memo_partition(cs.memo, got[0]) == partition(level), (cs.__dict__, x, z, j)
+                check_probe(cs, x, z, j, got)
                 if stored:
                     hits["unsat" if got[0] is None else "sat"] += 1
 
@@ -486,7 +392,7 @@ def _shared_sweep(cs, rng, hits):
 def test_memo_probe_shares_grown_class():
     """A probe whose z lies outside order[j:] stores its SAT fixpoint under
     (x, j) and answers every later such z from it.  Probes of chains 1..8
-    and seeded random instances agree with the plain closure, also after
+    and seeded random instances agree with oh_sat, also after
     ``ClauseSet.add`` takes a live clause that fires in a stored class."""
     from collections import Counter
 
@@ -526,8 +432,9 @@ def test_memo_fill_fires_base_clauses():
     for clause in ((2, 1 << 3, 1), (3, 0, 2), (2, 0, 3), (0, 0, 2)):
         cs.add(*clause)
     assert list(cs.edges) == [(2, 3), (3, 2), (2, 0)]
-    assert _plain_closure(cs, 0, 1, 0)[0] is None
-    assert probe(cs, 0, 1, 0)[0] is None
+    got = probe(cs, 0, 1, 0)
+    check_probe(cs, 0, 1, 0, got)
+    assert got[0] is None
     assert cs.memo, "the base fixpoint is satisfiable, so the probe fills the memo"
 
 
@@ -584,11 +491,7 @@ def test_clause_set_add_keeps_memo_valid():
     assert cs.memo.get("grown") is grown and (0, 0) in grown
     assert cs.by_pivot[0] == [] and list(cs.edges)[-1] == (2, 0)
     for x, z, j in ((0, 4, 0), (4, 0, 0), (0, 3, 1), (3, 0, 0), (4, 2, 0), (0, 2, 0)):
-        got = probe(cs, x, z, j)
-        level, _ = _plain_closure(cs, x, z, j)
-        assert (got[0] is None) == (level is None), (x, z, j)
-        if level is not None:
-            assert memo_partition(cs.memo, got[0]) == partition(level), (x, z, j)
+        check_probe(cs, x, z, j, probe(cs, x, z, j))
     assert probe(cs, 0, 4, 0)[3] == [0], "the stored fired list names the retired slot"
     assert cs.memo.get("grown") is grown, "no probe refilled the memo"
 
@@ -596,13 +499,14 @@ def test_clause_set_add_keeps_memo_valid():
 def test_clause_set_add_rejects_falsity_clause():
     """``ClauseSet.add`` raises on a clause with neither partners nor a
     target, with the memo empty and with it live, and leaves the set as it
-    was: the plain closure and the probe still find 0 < 2 satisfiable."""
-    from ordhorn.ohsat import ClauseSet, closure, probe
+    was: the probe 0 < 2 is satisfiable, as oh_sat finds it."""
+    from ordhorn.ohsat import ClauseSet, probe
 
     cs = ClauseSet(3, [1])
     for _ in range(2):
         with pytest.raises(ValueError, match="order disjunct"):
             cs.add(0, 0, -1)
         assert not cs.edges
-        assert closure(cs, [], [(0, 2)], [])[0] is not None
-        assert probe(cs, 0, 2, 0)[0] is not None and cs.memo
+        got = probe(cs, 0, 2, 0)
+        check_probe(cs, 0, 2, 0, got)
+        assert got[0] is not None and cs.memo

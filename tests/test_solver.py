@@ -10,7 +10,7 @@ from ordhorn.game import brute_solve
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.solver import DialectError, compile_to_mplus, cut_set, solve, up_set
 
-from conftest import make_general, make_instance, memo_partition, partition, peak_bytes
+from conftest import check_probe, make_general, make_instance, peak_bytes
 
 
 @pytest.fixture
@@ -369,20 +369,16 @@ def test_solve_empty_instance():
 
 def test_each_probe_is_one_closure_call(monkeypatch):
     """Each solver probe is one call of the probe the solver imports (as
-    ``closure``), and its answer from the base-fixpoint memo is the plain
-    closure's, with the same class partition when satisfiable."""
+    ``closure``), and its answer from the base-fixpoint memo is oh_sat's on
+    the same conjunction, with the same class partition when satisfiable."""
     import ordhorn.solver as solver_module
-    from ordhorn.ohsat import closure, probe
+    from ordhorn.ohsat import probe
 
     calls = []
 
     def checked(cs, x, z, j):
         got = probe(cs, x, z, j)
-        pairs = [(x, v) for v in cs.order[j:] if v != x and v != z]
-        level, _ = closure(cs, pairs, [(x, z)], [])
-        assert (got[0] is None) == (level is None)
-        if got[0] is not None:
-            assert memo_partition(cs.memo, got[0]) == partition(level)
+        check_probe(cs, x, z, j, got)
         calls.append((x, z))
         return got
 

@@ -6,6 +6,24 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ordhorn"
 
 
+def _trees():
+    """Each src module's syntax tree, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _top_level_names(tree):
+    """The names a module's top-level statements define: its functions,
+    classes and assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
 def test_src_has_no_assert_statements():
     # assert statements vanish under python -O; invariants must raise
     found = []
@@ -69,16 +87,8 @@ def test_only_ohsat_touches_the_probe_memo():
 def test_relative_imports_name_their_home():
     # every name, public or private, is imported from the module that
     # defines it, not through another module's import of it
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    defined = {}
-    for module, tree in trees.items():
-        names = defined[module] = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    trees = _trees()
+    defined = {module: _top_level_names(tree) for module, tree in trees.items()}
     found = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -86,6 +96,20 @@ def test_relative_imports_name_their_home():
                 found += [f"{module}.py:{node.lineno} {a.name}" for a in node.names
                           if a.name not in defined[node.module]]
     assert not found, f"names imported through a re-export: {found}"
+
+
+def test_import_aliases_name_no_other_definition():
+    # an alias bound by `import ... as` that another module defines at top
+    # level makes one name mean two different things across src
+    trees = _trees()
+    defined = {module: _top_level_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{module}.py:{node.lineno} {a.asname} ({other}.py)" for a in node.names
+                          for other, names in defined.items() if other != module and a.asname in names]
+    assert not found, f"import aliases that another module defines: {found}"
 
 
 def test_each_top_level_name_has_one_home():
@@ -104,7 +128,7 @@ def test_every_private_top_level_name_is_read_by_src():
     # a private helper that no src code reads outside its own definition is
     # kept for tests alone; a read counts in the defining module or in one
     # that imports the name from it (dunder names are exempt)
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     defined = []  # (module, name, defining statement)
     readers = {}  # (home module, name) -> ids of the top-level statements that read it
     for module, tree in trees.items():
