@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordhorn.cli import EXIT_FAILED, EXIT_USAGE, build_parser, main
+from ordhorn.formula import print_instance
 from ordhorn.game import GameVerdict, Move, brute_solve
+from ordhorn.generators import parallel_chain
 from ordhorn.proofsystem import FactBase, StrategyUndefinedError
 
 from conftest import UNDEFINED_STRATEGY_FACTS, load_perfbench
@@ -639,7 +641,24 @@ def test_brute_strategy_output_pinned(capsys):
     assert h.hexdigest() == "5ccb5bb41e942ebd43a520c23237a0a1dbe5cf98a4682ec764995c5fffe459df"
 
 
-_PARSERS = ((), ("solve",), ("brute",), ("derive",), ("classify",), ("compile",),
+def test_solve_json_output_pinned(capsys, tmp_path):
+    """One SHA-256 over the exit code and stdout bytes of ``solve --json`` on
+    every instance fixture, as given and reversed, and on parallel chains
+    1..8: verdict, derived clauses in order, rejecting clause, oracle calls."""
+    runs = [(path, extra) for path in sorted(FIXTURES.glob("*.qcsp"))
+            for extra in ((), ("--reverse-order",))]
+    for k in range(1, 9):
+        path = tmp_path / f"parallel_chain{k}.qcsp"
+        path.write_text(print_instance(parallel_chain(k)))
+        runs.append((path, ()))
+    h = hashlib.sha256()
+    for path, extra in runs:
+        code, out, _ = run(capsys, "solve", path, "--json", *extra)
+        h.update(f"{path.name} {extra} {code}\n{out}".encode())
+    assert h.hexdigest() == "3b53ca8abd17f8bfb6b68c1ecb191d86ebf4376c6877f9ed7d72cde333ccb8ea"
+
+
+_PARSERS =((), ("solve",), ("brute",), ("derive",), ("classify",), ("compile",),
             ("reduce-3cnf",), ("verify-strategy",), ("selftest",))
 
 
