@@ -207,9 +207,9 @@ def probe(cs, x, z, j):
     The ``fired`` list is shared with the memo, so callers must not mutate
     it.  Slot 1 stays None: the benchmark's probe counter unpacks four values.
     """
-    n, order, memo = cs.n, cs.order, cs.memo
-    pmasks, targets, by_pivot = cs.pmasks, cs.targets, cs.by_pivot
+    memo = cs.memo
     if not memo:
+        n, order = cs.n, cs.order
         events = []
         masks = _fixpoint(cs, cs.edges, events)
         if masks is None:
@@ -222,20 +222,21 @@ def probe(cs, x, z, j):
             packs[i] = cls[v] | up[v] << n | down[v] << 2 * n
             suffix[i] = suffix[i + 1] | packs[i]
         memo.update(cls=cls, up=up, down=down, packs=packs, suffix=suffix, grown={})
-    cls, up, down, suffix, piv = memo["cls"], memo["up"], memo["down"], memo["suffix"], cs.pivots
     iz = cs.at.get(z, -1)
+    # z outside order[j:] enters only the stop test, so every such z shares one SAT fixpoint
+    hit = iz < j and memo["grown"].get((x, j))
+    if hit:
+        c_mask, downc, fired = hit
+        if downc >> z & 1:
+            return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
+        return c_mask, None, None, fired
+    n, pmasks, targets, by_pivot, piv = cs.n, cs.pmasks, cs.targets, cs.by_pivot, cs.pivots
+    cls, up, down, suffix = memo["cls"], memo["up"], memo["down"], memo["suffix"]
     if iz >= j:  # z splits the suffix: OR the entries before it one by one
         packed = suffix[iz + 1]
         for e in memo["packs"][j:iz]:
             packed |= e
     else:
-        # z enters only the stop test, so every such z shares one SAT fixpoint
-        hit = memo["grown"].get((x, j))
-        if hit:
-            c_mask, downc, fired = hit
-            if downc >> z & 1:
-                return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
-            return c_mask, None, None, fired
         packed = suffix[j]
     full = (1 << n) - 1
     # the masks of C (x's grown class), up(C) and down(C | T)

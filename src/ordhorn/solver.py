@@ -20,12 +20,11 @@ of the universals ``univ`` in prefix order, so g is the probe's start index.
 The solver imports ``probe`` as ``closure`` because the benchmark in
 ``perfbench/`` traces the probe under that name.
 
-The derivation log is the one record of derived clauses; its events are
-NamedTuples of ints and a bool holding (pivot, partner mask, target), and
-build their ``OhClause`` on read.  Each pair derives a prefix of the nested
-upward sets, so an event repeats a clause iff its mask is its predecessor's
-or the clause is an input: its ``duplicate`` flag.  ``Verdict.clause_keys``
-is built on first read.
+The derivation log is one run ``(pass, x, z, lo, s)`` per binary search:
+pair (x, z) derives the prefix ``G[lo:s]`` of the nested upward sets.
+``_derivations`` states once which of them repeat a clause, so ``solve``
+adds a run's last fresh mask, the smallest, and ``Verdict.log`` builds one
+NamedTuple event per upward set on first read, as ``clause_keys`` is built.
 """
 
 from __future__ import annotations
@@ -62,13 +61,21 @@ class DerivationEvent(NamedTuple):
 @dataclass
 class Verdict:
     value: bool
-    log: list
+    runs: list
     rejecting_clause: Optional[OhClause]
     rejecting_pair: Optional[tuple]
     oracle_calls: int
     passes: int
     matrix: tuple
+    quants: tuple
     names: tuple
+
+    @cached_property
+    def log(self) -> list:
+        """One :class:`DerivationEvent` per upward set of each run, built on first read."""
+        run = _derivations(self.quants, self.matrix)[2]
+        return [DerivationEvent(p, x, z, u, m, not fresh)
+                for p, x, z, lo, s in self.runs for u, m, fresh in run(x, z, lo, s)]
 
     @property
     def derived(self) -> list:
@@ -134,27 +141,41 @@ def _check_dialect(matrix):
             raise DialectError("matrix clause lacks an order disjunct; compile it first")
 
 
+def _derivations(quants, matrix):
+    """The upward sets G, the distinct matrix clauses as (pivot, partner mask, target),
+    and ``run(x, z, lo, s)``, yielding (u, m, fresh) where (x, z) derives x != m | x >= z."""
+    ups = _upset_masks(quants)
+    # (first position, mask) of each distinct upward set: G[g] is the suffix univ[g:]
+    G = [(u, ups[u]) for u in range(len(quants)) if u == 0 or ups[u] != ups[u - 1]]
+    inputs = dict.fromkeys((c.pivot, sum(1 << q for q in c.partners), c.target) for c in matrix)
+
+    def run(x, z, lo, s):
+        drop = (1 << x) | (1 << z) | _cut_mask(quants, ups, x, z)
+        prev = G[lo - 1][1] & ~drop if lo else None
+        for u, mask in G[lo:s]:
+            m = mask & ~drop
+            # nested masks: m is a repeat iff it is its predecessor or an input
+            yield u, m, m != prev and (x, m, z) not in inputs
+            prev = m
+
+    return G, inputs, run
+
+
 def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     """Decide a pure-M+ instance (triples and units) by clause derivation;
     :class:`ResourceLimitError` past ``max_probes`` oracle probes."""
     _check_dialect(inst.matrix)
     n = inst.n_vars
     quants = inst.quants
-    ups = _upset_masks(quants)
-    # distinct upward sets with the first prefix position attaining each;
-    # each drops one universal, so G[g] is the suffix univ[g:]
-    G = [(u, ups[u]) for u in range(n) if u == 0 or ups[u] != ups[u - 1]]
-    univ = inst.universals()
+    G, inputs, run = _derivations(quants, inst.matrix)
 
-    clauses = ClauseSet(n, univ)
+    clauses = ClauseSet(n, inst.universals())
     edges = clauses.edges
-    # the distinct matrix clauses as (pivot, partner mask, target), in order
-    inputs = dict.fromkeys((c.pivot, sum(1 << q for q in c.partners), c.target) for c in inst.matrix)
     for clause in inputs:
         clauses.add(*clause)
 
     n_derived = 0
-    log = []
+    runs = []
     oracle_calls = 0
     known = {}
 
@@ -175,12 +196,11 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
         if pair is not None:
             x, z = pair if pair[::-1] in edges else pair[::-1]
             unit = OhClause(x, frozenset(), z)
-        return Verdict(pair is None, log, unit, pair, oracle_calls, pass_no, inst.matrix, inst.names)
+        return Verdict(pair is None, runs, unit, pair, oracle_calls, pass_no, inst.matrix, quants, inst.names)
 
-    pass_no = 0
-    changed = True
-    while changed:
-        changed = False
+    pass_no, before = 0, None
+    while n_derived != before:  # a pass that derives nothing ends the fixpoint
+        before = n_derived
         pass_no += 1
         for x in range(n):
             for z in range(n):
@@ -205,23 +225,17 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
                             else:
                                 b = mid
                         s = b
-                    drop = (1 << x) | (1 << z) | _cut_mask(quants, ups, x, z)
-                    prev = G[lo - 1][1] & ~drop if lo else None
-                    for i in range(lo, s):
-                        u, mask = G[i]
-                        m = mask & ~drop
-                        # nested masks: m is a repeat iff it is its predecessor or an input
-                        fresh = m != prev and (x, m, z) not in inputs
-                        prev = m
-                        log.append(DerivationEvent(pass_no, x, z, u, m, not fresh))
-                        if fresh:
-                            clauses.add(x, m, z, derived=True)
-                            n_derived += 1
-                            changed = True
-                            if n_derived > n * n * (n + 1):
-                                raise RuntimeError("derived-clause bound violated")
-                            if not m and rejects(x, z):
-                                return verdict((x, z))
+                    fresh = [(i, m) for i, (_, m, new) in enumerate(run(x, z, lo, s), lo) if new]
+                    if fresh:
+                        i, m = fresh[-1]  # the smallest partner set, all a slot keeps
+                        clauses.add(x, m, z, derived=True)
+                        n_derived += len(fresh)
+                        if n_derived > n * n * (n + 1):
+                            raise RuntimeError("derived-clause bound violated")
+                        if not m and rejects(x, z):
+                            runs.append((pass_no, x, z, lo, i + 1))  # the run ends at the unit
+                            return verdict((x, z))
+                    runs.append((pass_no, x, z, lo, s))
                     lo = s
                 known[(x, z)] = lo
     return verdict()

@@ -342,7 +342,7 @@ def test_check_cover_fails_without_the_derived_clauses():
     facts = saturate(inst)
     verdict = solve(inst)
     assert verdict.derived
-    assert not check_cover(inst, facts, dataclasses.replace(verdict, log=[]))
+    assert not check_cover(inst, facts, dataclasses.replace(verdict, runs=[]))
 
 
 def test_check_cover_random():

@@ -156,11 +156,18 @@ def test_log_events_hold_only_ints_and_bools():
 
 
 def test_solve_memory_stays_small():
-    peak = peak_bytes(lambda: solve(parallel_chain(20)))
+    verdicts = []
+    peak = peak_bytes(lambda: verdicts.append(solve(parallel_chain(20))))
+    verdict = verdicts[0]
+    # one record per binary search; the events are built only when read
+    assert len(verdict.runs) == 420
+    assert "log" not in vars(verdict)
     # 11,690 log events: a frozenset of partners per event would take 19 MB
     assert peak < 10 * 2**20
     # a set of every clause next to the log, and eager clause keys, took 5.3 MB
     assert peak < 3 * 2**20
+    # a tuple per log event on the solve path took 1.87 MiB
+    assert peak < 2**20
 
 
 def test_duplicate_flag_and_clause_keys_follow_their_definition():
