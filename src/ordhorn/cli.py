@@ -69,7 +69,7 @@ def _compiled(args) -> QcspInstance:
 
 
 def _cmd_solve(args):
-    verdict = solve(_compiled(args), max_probes=args.max_probes)
+    verdict = solve(normalize(_load_instance(args)), max_probes=args.max_probes)
     if args.json:
         print(json.dumps(verdict.to_json_dict(), indent=2))
     else:

@@ -25,7 +25,7 @@ from .formula import OhClause, QcspInstance
 from .game import Move
 from .ohsat import _bits
 from .orders import WeakOrder
-from .solver import Verdict, _check_dialect, _cut_mask, _upset_masks
+from .solver import DialectError, Verdict, _cut_mask, _upset_masks
 
 
 class StrategyUndefinedError(RuntimeError):
@@ -67,10 +67,12 @@ class FactBase:
 
 
 def _orientations(matrix):
-    """Pivot/partner orientations (u, v, z) of the matrix conjuncts."""
-    _check_dialect(matrix)
+    """Pivot/partner orientations (u, v, z) of the matrix conjuncts, which
+    must be pure M+: units and single-partner clauses, each with a target."""
     out = []
     for c in matrix:
+        if not isinstance(c, OhClause) or c.target is None or len(c.partners) > 1:
+            raise DialectError("matrix is not pure M+; compile it first")
         p = c.pivot
         q = next(iter(c.partners)) if c.partners else p
         out.append((p, q, c.target))

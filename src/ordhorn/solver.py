@@ -1,6 +1,7 @@
-"""The polynomial-time decision procedure for quantified M+ constraints,
-plus the compilation of pivoted instances down to pure M+ triples through
-``formula._mplus_chain``, the one chain construction.
+"""The polynomial-time decision procedure for the solver dialect that
+``formula.normalize`` produces, plus its compilation down to pure M+ triples
+through ``formula._mplus_chain``, the one chain construction, for the proof
+system and the ``compile`` command.
 
 The solver iterates to a fixpoint over an evolving clause set: for every
 ordered variable pair (x, z) and every upward set of universal variables it
@@ -39,7 +40,7 @@ from .ohsat import probe as closure  # the benchmark traces ordhorn.solver.closu
 
 
 class DialectError(ValueError):
-    """Matrix clause outside the pure M+ dialect (compile first)."""
+    """Matrix outside its reader's dialect: normalize's for solve, pure M+ for saturate."""
 
 
 class DerivationEvent(NamedTuple):
@@ -129,18 +130,6 @@ def cut_set(inst: QcspInstance, x: int, z: int) -> set:
     return set(_bits(_cut_mask(inst.quants, _upset_masks(inst.quants), x, z)))
 
 
-def _check_dialect(matrix):
-    for c in matrix:
-        if not isinstance(c, OhClause):
-            raise DialectError("matrix is not in the solver dialect; run normalize first")
-        if c.is_false():
-            raise DialectError("matrix contains a falsity clause; compile it first")
-        if len(c.partners) > 1:
-            raise DialectError("matrix clause has several partners; compile it first")
-        if c.target is None:
-            raise DialectError("matrix clause lacks an order disjunct; compile it first")
-
-
 def _derivations(quants, matrix):
     """The upward sets G, the distinct matrix clauses as (pivot, partner mask, target),
     and ``run(x, z, lo, s)``, yielding (u, m, fresh) where (x, z) derives x != m | x >= z."""
@@ -161,10 +150,31 @@ def _derivations(quants, matrix):
     return G, inputs, run
 
 
+def _fresh(names, quants, base, q):
+    """Append a q-quantified variable named base, or base_1, base_2, ...
+    past a name already taken, to the lists names and quants; return its index."""
+    name, k = base, 0
+    while name in names:
+        k += 1
+        name = f"{base}_{k}"
+    names.append(name)
+    quants.append(q)
+    return len(names) - 1
+
+
 def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
-    """Decide a pure-M+ instance (triples and units) by clause derivation;
-    :class:`ResourceLimitError` past ``max_probes`` oracle probes."""
-    _check_dialect(inst.matrix)
+    """Decide a normalized instance by clause derivation; :class:`ResourceLimitError`
+    past ``max_probes`` oracle probes.  Each clause without an order disjunct
+    (falsity too) gets the target ``_z``, one universal appended to the prefix
+    and to the verdict's names: x != P iff x != P | x >= z for every z, and
+    that z distributes over the conjunction."""
+    if not inst.is_oh_dialect():
+        raise DialectError("matrix is not in the solver dialect; run normalize first")
+    if any(c.target is None for c in inst.matrix):
+        names, quants = list(inst.names), list(inst.quants)
+        z = _fresh(names, quants, "_z", "A")
+        matrix = tuple(OhClause(c.pivot, c.partners, z) if c.target is None else c for c in inst.matrix)
+        inst = QcspInstance(tuple(names), tuple(quants), matrix)
     n = inst.n_vars
     quants = inst.quants
     G, inputs, run = _derivations(quants, inst.matrix)
@@ -242,7 +252,8 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
 
 
 def compile_to_mplus(inst: QcspInstance) -> QcspInstance:
-    """Rewrite pivoted clauses into pure M+ triples and units.
+    """Rewrite pivoted clauses into pure M+ triples and units; this serves
+    the proof system and the ``compile`` command, not :func:`solve`.
 
     A clause with k >= 1 partners unfolds into the triples of
     ``_mplus_chain`` through k - 1 fresh existential variables appended at
@@ -254,27 +265,13 @@ def compile_to_mplus(inst: QcspInstance) -> QcspInstance:
         inst = normalize(inst)
     names = list(inst.names)
     quants = list(inst.quants)
-    taken = set(names)
     out = []
-
-    def fresh(base, q):
-        """Append a q-quantified variable named base, or base_1, base_2, ...
-        past a name already taken; return its index."""
-        name, k = base, 0
-        while name in taken:
-            k += 1
-            name = f"{base}_{k}"
-        taken.add(name)
-        names.append(name)
-        quants.append(q)
-        return len(names) - 1
-
     for j, c in enumerate(inst.matrix):
-        target = fresh(f"_z{j}", "A") if c.target is None else c.target
+        target = _fresh(names, quants, f"_z{j}", "A") if c.target is None else c.target
         if not c.partners:
             out.append(OhClause(c.pivot, frozenset(), target))
             continue
-        hs = [fresh(f"_h{j}_{i}", "E") for i in range(2, len(c.partners) + 1)]
+        hs = [_fresh(names, quants, f"_h{j}_{i}", "E") for i in range(2, len(c.partners) + 1)]
         for a, b, z in _mplus_chain(c.pivot, sorted(c.partners), target, hs):
             out.append(OhClause(a, frozenset([b]), z))
     return QcspInstance(tuple(names), tuple(quants), tuple(dict.fromkeys(out)))

@@ -655,7 +655,7 @@ def test_solve_json_output_pinned(capsys, tmp_path):
     for path, extra in runs:
         code, out, _ = run(capsys, "solve", path, "--json", *extra)
         h.update(f"{path.name} {extra} {code}\n{out}".encode())
-    assert h.hexdigest() == "3b53ca8abd17f8bfb6b68c1ecb191d86ebf4376c6877f9ed7d72cde333ccb8ea"
+    assert h.hexdigest() == "3038bc8e4931ce1cbfb81c26b66b6004a2e5bf895b7ccbcad148d6b75274d89a"
 
 
 _PARSERS =((), ("solve",), ("brute",), ("derive",), ("classify",), ("compile",),

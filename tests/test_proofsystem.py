@@ -19,7 +19,7 @@ from ordhorn.proofsystem import (
 )
 from ordhorn.solver import compile_to_mplus, cut_set, solve
 
-from conftest import UNDEFINED_STRATEGY_FACTS, make_instance
+from conftest import UNDEFINED_STRATEGY_FACTS, make_general, make_instance
 
 
 def naive_saturate(inst, max_facts=100_000):
@@ -138,10 +138,17 @@ def test_cap_exceeded():
 
 
 def test_dialect_guard():
+    # saturate takes pure M+ only: the shapes solve decides natively are refused
     from ordhorn.solver import DialectError
 
-    with pytest.raises(DialectError):
-        saturate(make_instance("EEE", [(0, [1, 2], None)]))
+    for inst in (
+        make_instance("EEEE", [(0, [1, 2], 3)]),  # two partners
+        make_instance("E", [(0, [], None)]),  # falsity
+        make_instance("EE", [(0, [1], None)]),  # no order disjunct
+        make_general("EE", [[(0, "!=", 1)]]),
+    ):
+        with pytest.raises(DialectError, match="compile it first"):
+            saturate(inst)
 
 
 def test_fact_dump_format(running_compiled):

@@ -1,5 +1,6 @@
 """Algorithm-level tests for the clause-deriving solver and the compiler."""
 
+import itertools
 import json
 import random
 
@@ -65,14 +66,19 @@ def test_solve_empty_matrix_true():
 
 
 def test_solve_dialect_errors():
-    with pytest.raises(DialectError):
-        solve(make_instance("EEE", [(0, [1, 2], None)]))
-    with pytest.raises(DialectError):
-        solve(make_instance("E", [(0, [], None)]))
-    with pytest.raises(DialectError):
+    # solve takes what normalize produces: a general-dialect matrix is refused,
+    # and the shapes beyond pure M+ get brute_solve's verdict
+    with pytest.raises(DialectError, match="run normalize first"):
         solve(make_general("EE", [[(0, "!=", 1)]]))
-    with pytest.raises(DialectError, match="lacks an order disjunct"):
-        solve(make_instance("EE", [(0, [1], None)]))
+    shapes = {
+        "two partners": [(0, [1, 2], None)],
+        "falsity": [(0, [], None)],
+        "no order disjunct": [(0, [1], None)],
+    }
+    for shape, clauses in shapes.items():
+        for quants in itertools.product("EA", repeat=3):
+            inst = make_instance(quants, clauses)
+            assert solve(inst).value == brute_solve(inst).value, (shape, quants)
 
 
 @pytest.mark.parametrize("quants", ["EE", "EA", "AE", "AA"])
@@ -98,6 +104,73 @@ def test_solve_agrees_with_game_oracle_random():
     for _ in range(400):
         inst = random_mplus_instance(rng, max_vars=6, max_clauses=6)
         assert solve(inst).value == brute_solve(inst).value, print_instance(inst)
+
+
+def _pivoted_universe(n):
+    """Every pivoted clause on n variables: any partner set, any target or none."""
+    out = []
+    for x in range(n):
+        others = [v for v in range(n) if v != x]
+        for k in range(len(others) + 1):
+            for ps in itertools.combinations(others, k):
+                out += [OhClause(x, frozenset(ps), t) for t in (None, *others)]
+    return out
+
+
+def _beyond_mplus(clauses):
+    """Does some clause need compile_to_mplus: several partners or no target?"""
+    return any(len(c.partners) > 1 or c.target is None for c in clauses)
+
+
+def test_solve_pivoted_exhaustive_against_game_oracle():
+    """Every instance on at most 3 variables with at most 2 pivoted clauses,
+    some clause with several partners or no target, and a seeded sample on
+    4 variables with up to 3 clauses: solve agrees with brute_solve."""
+    checked = false = 0
+    for n in (1, 2, 3):
+        names = tuple(f"x{i + 1}" for i in range(n))
+        universe = _pivoted_universe(n)
+        for quants in itertools.product("EA", repeat=n):
+            for k in (1, 2):
+                for combo in itertools.combinations(universe, k):
+                    if _beyond_mplus(combo):
+                        inst = QcspInstance(names, quants, combo)
+                        value = brute_solve(inst).value
+                        assert solve(inst).value == value, print_instance(inst)
+                        checked += 1
+                        false += not value
+    assert (checked, false) == (4066, 2112)
+    rng = random.Random(3636)
+    universe = _pivoted_universe(4)
+    sampled = 0
+    while sampled < 600:
+        inst = QcspInstance(tuple(f"x{i + 1}" for i in range(4)), tuple(rng.choices("EA", k=4)),
+                            tuple(rng.sample(universe, rng.randint(1, 3))))
+        if _beyond_mplus(inst.matrix):
+            assert solve(inst).value == brute_solve(inst).value, print_instance(inst)
+            sampled += 1
+
+
+def test_solve_native_against_compiled():
+    """solve decides normalize's pivoted clauses as it decides their
+    compile_to_mplus unfolding, on seeded instances of 2 to 40 variables."""
+    rng = random.Random(4040)
+    values = []
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        clauses = []
+        for _ in range(rng.randint(1, n)):
+            x = rng.randrange(n)
+            others = [v for v in range(n) if v != x]
+            ps = rng.sample(others, min(n - 1, rng.choice((0, 1, 1, 2, 3))))
+            t = None if rng.random() < 0.25 else rng.choice(others)
+            if ps or t is not None:
+                clauses.append(OhClause(x, frozenset(ps), t))
+        inst = QcspInstance(tuple(f"v{i}" for i in range(n)), tuple(rng.choices("EEEA", k=n)),
+                            tuple(dict.fromkeys(clauses)))
+        values.append(solve(inst).value)
+        assert values[-1] == solve(compile_to_mplus(inst)).value, print_instance(inst)
+    assert 100 < sum(values) < 200
 
 
 def test_derived_clauses_are_entailed():
@@ -251,11 +324,26 @@ def test_compile_fresh_blocks_in_clause_order():
     assert out.quants[5:] == ("E", "A", "E")  # h for clause 0, then z1 and h for clause 1
 
 
-def test_compile_renames_fresh_variables_on_a_clash():
+def test_compile_renames_fresh_variables_on_a_clash(capsys, tmp_path):
+    """compile_to_mplus's fresh variables, and the one universal that solve
+    lifts target-free clauses to, skip every declared name."""
+    from ordhorn.cli import main
+
     inst = make_instance("EEEE", [(0, [1, 2], None)], names=["x", "_z0", "_h0_2", "_h0_2_1"])
     out = compile_to_mplus(inst)
     assert out.names[4:] == ("_z0_1", "_h0_2_2")
     assert out.quants[4:] == ("A", "E")
+    verdict = solve(inst)
+    assert (verdict.names[4:], verdict.quants[4:]) == (("_z",), ("A",))
+    assert verdict.matrix == (OhClause(0, frozenset([1, 2]), 4),)
+    clash = make_instance("EEEE", [(0, [1, 2], None)], names=["x", "_z", "_z0", "_z_2"])
+    assert solve(clash).names[4:] == ("_z_1",)
+    # solve --json names the lifted universal in the clauses it derives
+    path = tmp_path / "gt.qcsp"
+    for declared, lifted in (("", "_z"), ("E _z\n", "_z_1")):
+        path.write_text(f"qcsp v1\nA x\nE y\n{declared}C y > x\n")
+        assert main(["solve", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["derived"] == [f"y != x | y >= {lifted}"]
 
 
 def test_compile_output_pinned():
