@@ -1,5 +1,7 @@
 """Parsing, printing, and normalization."""
 
+import collections
+import hashlib
 import itertools
 import random
 import re
@@ -7,8 +9,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordhorn import relations
 from ordhorn.cli import main
 from ordhorn.formula import (
+    HOLDS,
     MAX_EXPANSION,
     Atom,
     NotPivotedError,
@@ -253,6 +257,69 @@ def test_normalize_preserves_game_verdict():
         before = brute_solve(inst).value
         after = brute_solve(normalize(inst)).value
         assert before == after, print_instance(inst)
+
+
+_PIN_RELATIONS = ("M+", "M<+", "GM+", "GVM<+", "SM", "D", "Z", "NAE3")
+# solve-sparse's clause forms over x, y, y2, z (perfbench/families.py)
+_SPARSE_FORMS = ("x != y | x >= z", "x != y | x > z", "x != y | x != y2 | x >= z", "x != y | x != y2", "x <= z")
+
+
+def _normalize_pin_texts():
+    """Instance texts for the normalize pin: fixed edge cases, then seeded
+    clauses over all six operators and named relations, with reflexive and
+    repeated disjuncts and solve-sparse's clause forms."""
+    head = "qcsp v1\nE x\nA y\nE z\nA w\n"
+    fixed = [
+        "x >= x", "x >= x | x >= x", "x != x", "x != x | x >= y", "x >= y | x >= y",
+        "x >= y | y >= x", "x = y | x < y", "x != y | x >= x", "x >= y | x >= z",
+        "x != y | z >= w", "x != y | z != w", "x != y | y != z | x != z", "x > y | y > x",
+    ]
+    texts = [head + "C " + c + "\n" for c in fixed]
+    texts.append("qcsp v1\nE a\nE b\nC " + " | ".join(["a = b"] * 17) + "\n")
+    texts.append("qcsp v1\nE a\nE b\n" + ("C " + " | ".join(["a = a"] * 16) + "\n") * 2)
+    rng = random.Random(37)
+    for _ in range(400):
+        names = [f"v{i}" for i in range(rng.randint(2, 5))]
+        lines = ["qcsp v1"] + [f"{rng.choice('EA')} {v}" for v in names]
+        for _ in range(rng.randint(1, 4)):
+            x = rng.choice(names)
+            if rng.random() < 0.2:
+                form = rng.choice(_SPARSE_FORMS)
+                for old, new in zip(("y2", "x", "y", "z"), rng.sample(names, 2) + rng.sample(names, 2)):
+                    form = re.sub(rf"\b{old}\b", new.upper(), form)
+                lines.append("C " + form.lower())
+                continue
+            disjuncts = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.1:
+                    rel = rng.choice(_PIN_RELATIONS)
+                    disjuncts.append(" ".join([rel, *rng.choices(names, k=relations.arity_of(rel))]))
+                else:
+                    a = x if rng.random() < 0.7 else rng.choice(names)
+                    disjuncts.append(f"{a} {rng.choice(tuple(HOLDS))} {rng.choice(names)}")
+            if rng.random() < 0.2:
+                disjuncts.append(rng.choice(disjuncts))
+            lines.append("C " + " | ".join(disjuncts))
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_normalize_output_pinned():
+    # one SHA-256 over normalize's clauses (order, pivot, sorted partners,
+    # target) or its error message, per instance of a seeded family
+    h = hashlib.sha256()
+    outcomes = collections.Counter()
+    for text in _normalize_pin_texts():
+        try:
+            matrix = normalize(parse_instance(text)).matrix
+            line = repr([(c.pivot, sorted(c.partners), c.target) for c in matrix])
+            outcomes["ok"] += 1
+        except (NotPivotedError, ResourceLimitError) as e:
+            line = f"{type(e).__name__}: {e}"
+            outcomes[type(e).__name__] += 1
+        h.update(line.encode() + b"\n")
+    assert outcomes == {"ok": 269, "NotPivotedError": 144, "ResourceLimitError": 2}
+    assert h.hexdigest() == "6933f001043735f29ab65fb465c7a39680b0f8dc9b411950f9eb73a75f11ef9d"
 
 
 @st.composite
