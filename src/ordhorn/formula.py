@@ -51,6 +51,8 @@ def _distribute(factors, line_no=0):
     """Every way to pick one item per factor, as tuples in factor order; the
     count is multiplied out first, and past :data:`MAX_EXPANSION` nothing is
     built and :class:`ResourceLimitError` (naming ``line_no``, if any) raised."""
+    if set(map(len, factors)) == {1}:
+        return list(zip(*factors))  # the one pick
     total = math.prod(len(f) for f in factors)
     if total > MAX_EXPANSION:
         where = f"line {line_no}: " if line_no else ""
@@ -204,8 +206,6 @@ def _expand_disjunct(part, start, line_no, resolve):
     yields the relation's defining clauses instantiated at the arguments.
     ``resolve`` maps a variable name to its index, or to None if undeclared.
     """
-    from . import relations
-
     tokens = part.split()
 
     def index(i):
@@ -216,6 +216,8 @@ def _expand_disjunct(part, start, line_no, resolve):
 
     if len(tokens) == 3 and tokens[1] in HOLDS:
         return [(Atom(index(0), tokens[1], index(2)),)]
+    from . import relations
+
     op = next((t for t in tokens[:2] if t in HOLDS), None)
     if op is not None:
         problem = "missing" if len(tokens) < 3 else "extra"
@@ -395,40 +397,33 @@ def _tautology(lits) -> bool:
 
 def _to_oh_clause(lits, names) -> Optional[OhClause]:
     """Turn a ge/ne literal clause into an OhClause, or None for a tautology."""
-    vars_seen = set()
-    ge = []
-    ne = []
+    ge, ne = {}, []  # distinct order literals, first seen first; disequalities a != b
     for kind, a, b in lits:
-        vars_seen.update((a, b))
-        if kind == "ne":
-            if a != b:  # x != x is a false disjunct, dropped
-                ne.append(frozenset((a, b)))
-        else:
-            ge.append((a, b))
-    if _tautology(lits) and (ne or len(ge) > 1):  # a lone x >= x goes on as a unit
+        if kind == "ge":
+            ge[a, b] = None
+        elif a != b:  # x != x is a false disjunct, dropped
+            ne.append((a, b))
+    # a lone x >= x goes on as a unit, but x >= x | x >= x is dropped
+    if (ne or sum(kind == "ge" for kind, _, _ in lits) > 1) and _tautology(lits):
         return None
-    ne = list(dict.fromkeys(ne))
-    ge = list(dict.fromkeys(ge))
     if len(ge) > 1:
         raise NotPivotedError(
             "clause has more than one order disjunct: "
             + " | ".join(f"{names[a]} >= {names[b]}" for a, b in ge)
         )
-    if not ge and not ne:
-        # every disjunct was false; the clause denotes bottom
-        pivot = min(vars_seen) if vars_seen else 0
-        return OhClause(pivot, frozenset(), None)
     if ge:
-        pivot, target = ge[0]
+        ((pivot, target),) = ge
         if any(pivot not in pair for pair in ne):
             raise NotPivotedError(f"no common pivot in clause with order disjunct on {names[pivot]}")
-    else:
+    elif ne:
         candidates = set.intersection(*(set(p) for p in ne))
         if not candidates:
             raise NotPivotedError("no common pivot among disequality disjuncts")
         pivot, target = min(candidates), None
-    partners = frozenset(next(iter(pair - {pivot})) for pair in ne)
-    return OhClause(pivot, partners, target)
+    else:
+        # every disjunct was false; the clause denotes bottom
+        return OhClause(min((a for _, a, _ in lits), default=0), frozenset(), None)
+    return OhClause(pivot, frozenset(b if a == pivot else a for a, b in ne), target)
 
 
 def normalize(inst: QcspInstance) -> QcspInstance:

@@ -33,13 +33,14 @@ its clauses and edges alone.  :func:`probe` answers the solver's question
 z.  A probe that finds the memo empty fills it in one step: each variable's
 ``up``/``down`` and base class ``cls = up & down``, ``packs[i]`` packing
 ``cls | up << n | down << 2n`` of ``order[i]``, and the suffix ORs
-``suffix[j]`` of ``packs[j:]``.  A probe's start ``C = class(x) | classes(U)``,
-with ``up(C)`` and ``down(C)``, joins x's masks to ``suffix[j]``, or, when z
-is ``order[iz]`` with iz >= j, to ``suffix[iz + 1]`` ORed with
-``packs[j:iz]``.  A probe fires the clauses pivoted in ``C`` whose partners
-lie in ``C`` (their targets form ``T``) and absorbs ``up(C) & down(C | T)``
-until nothing changes; no other class can change, because every fired edge
-points into ``C``.  The probe is unsatisfiable iff ``up(z)`` meets
+``suffix[j]`` of ``packs[j:]``, kept with ``n``, ``2n`` and the n-bit mask
+as one tuple, ``memo["base"]``, that a probe unpacks once.  A probe's start
+``C = class(x) | classes(U)``, with ``up(C)`` and ``down(C)``, joins x's
+masks to ``suffix[j]``, or, when z is ``order[iz]`` with iz >= j, to
+``suffix[iz + 1]`` ORed with ``packs[j:iz]``.  A probe fires the clauses
+pivoted in ``C`` whose partners lie in ``C`` (their targets form ``T``) and
+absorbs ``up(C) & down(C | T)`` until nothing changes; no other class can
+change, because every fired edge points into ``C``.  The probe is unsatisfiable iff ``up(z)`` meets
 ``C | T``, that is iff z enters ``down(C | T)``.
 
 When z lies outside ``order[j:]``, z enters only that stop test, so the
@@ -221,7 +222,7 @@ def probe(cs, x, z, j):
         for i, v in reversed([*enumerate(order)]):
             packs[i] = cls[v] | up[v] << n | down[v] << 2 * n
             suffix[i] = suffix[i + 1] | packs[i]
-        memo.update(cls=cls, up=up, down=down, packs=packs, suffix=suffix, grown={})
+        memo.update(cls=cls, up=up, grown={}, base=(n, 2 * n, (1 << n) - 1, cls, up, down, packs, suffix))
     iz = cs.at.get(z, -1)
     # z outside order[j:] enters only the stop test, so every such z shares one SAT fixpoint
     hit = iz < j and memo["grown"].get((x, j))
@@ -230,19 +231,18 @@ def probe(cs, x, z, j):
         if downc >> z & 1:
             return None, None, [("fire", f) for f in fired] + [("strict-cycle", x, z)], None
         return c_mask, None, None, fired
-    n, pmasks, targets, by_pivot, piv = cs.n, cs.pmasks, cs.targets, cs.by_pivot, cs.pivots
-    cls, up, down, suffix = memo["cls"], memo["up"], memo["down"], memo["suffix"]
+    n, n2, full, cls, up, down, packs, suffix = memo["base"]
+    pmasks, targets, by_pivot, piv = cs.pmasks, cs.targets, cs.by_pivot, cs.pivots
     if iz >= j:  # z splits the suffix: OR the entries before it one by one
         packed = suffix[iz + 1]
-        for e in memo["packs"][j:iz]:
+        for e in packs[j:iz]:
             packed |= e
     else:
         packed = suffix[j]
-    full = (1 << n) - 1
     # the masks of C (x's grown class), up(C) and down(C | T)
     c_mask = cls[x] | packed & full
     upc = up[x] | packed >> n & full
-    downc = down[x] | packed >> 2 * n
+    downc = down[x] | packed >> n2
     pending = []  # unfired, pivoted in C
     w = c_mask & piv
     while w:

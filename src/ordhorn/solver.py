@@ -187,18 +187,10 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     n_derived = 0
     runs = []
     oracle_calls = 0
-    known = {}
-
-    def rejects(x, z) -> bool:
-        return x < z and quants[z] == "A" and ((x, z) in edges or (z, x) in edges)
-
-    def probe(x, z, g) -> bool:
-        """True iff phi with x equated to the upward set G[g] and x < z is UNSAT."""
-        nonlocal oracle_calls
-        oracle_calls += 1
-        if oracle_calls > max_probes:
-            raise ResourceLimitError(f"solve exceeded {max_probes} probes")
-        return closure(clauses, x, z, g)[0] is None
+    last = len(G) - 1
+    # known[x][z]: the first upward set not known unsatisfiable for (x, z); none for x = z
+    known = [[last + 1 if z == x else 0 for z in range(n)] for x in range(n)]
+    probe = closure  # read at each call, so a wrapper of the module's closure sees every probe
 
     def verdict(pair=None):
         """True, or false with the unit clause that rejects the pair."""
@@ -212,42 +204,39 @@ def solve(inst: QcspInstance, max_probes: int = 100_000_000) -> Verdict:
     while n_derived != before:  # a pass that derives nothing ends the fixpoint
         before = n_derived
         pass_no += 1
-        for x in range(n):
-            for z in range(n):
-                if x == z:
-                    continue
-                if rejects(x, z):
+        for x, row in enumerate(known):
+            for z, lo in enumerate(row):
+                # a unit between x and a later universal z rejects
+                if x < z and quants[z] == "A" and ((x, z) in edges or (z, x) in edges):
                     return verdict((x, z))
-                lo = known.get((x, z), 0)
-                last = len(G) - 1
                 while lo <= last:
-                    if not probe(x, z, lo):
+                    # a: the last unsatisfiable, b: the first satisfiable position known;
+                    # probe lo, then last, then bisect
+                    a, b = lo - 1, last + 1
+                    while b - a > 1:
+                        g = lo if a < lo else last if b > last else (a + b) // 2
+                        oracle_calls += 1
+                        if oracle_calls > max_probes:
+                            raise ResourceLimitError(f"solve exceeded {max_probes} probes")
+                        if probe(clauses, x, z, g)[0] is None:
+                            a = g
+                        else:
+                            b = g
+                    if b == lo:
                         break  # satisfiable here, hence at every later position
-                    # find the first satisfiable upward set after lo
-                    if lo == last or probe(x, z, last):
-                        s = last + 1
-                    else:
-                        a, b = lo, last  # a unsatisfiable, b satisfiable
-                        while b - a > 1:
-                            mid = (a + b) // 2
-                            if probe(x, z, mid):
-                                a = mid
-                            else:
-                                b = mid
-                        s = b
-                    fresh = [(i, m) for i, (_, m, new) in enumerate(run(x, z, lo, s), lo) if new]
+                    fresh = [(i, m) for i, (_, m, new) in enumerate(run(x, z, lo, b), lo) if new]
                     if fresh:
                         i, m = fresh[-1]  # the smallest partner set, all a slot keeps
                         clauses.add(x, m, z, derived=True)
                         n_derived += len(fresh)
                         if n_derived > n * n * (n + 1):
                             raise RuntimeError("derived-clause bound violated")
-                        if not m and rejects(x, z):
+                        if not m and x < z and quants[z] == "A":  # the unit x >= z rejects
                             runs.append((pass_no, x, z, lo, i + 1))  # the run ends at the unit
                             return verdict((x, z))
-                    runs.append((pass_no, x, z, lo, s))
-                    lo = s
-                known[(x, z)] = lo
+                    runs.append((pass_no, x, z, lo, b))
+                    lo = b
+                row[z] = lo
     return verdict()
 
 

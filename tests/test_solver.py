@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from ordhorn.formula import OhClause, QcspInstance, normalize, parse_instance, print_instance
+from ordhorn.formula import (
+    OhClause, QcspInstance, ResourceLimitError, normalize, parse_instance, print_instance,
+)
 from ordhorn.game import brute_solve
 from ordhorn.generators import parallel_chain, random_mplus_instance
 from ordhorn.solver import DialectError, compile_to_mplus, cut_set, solve, up_set
 
-from conftest import check_probe, make_general, make_instance, peak_bytes
+from conftest import check_probe, make_general, make_instance, peak_bytes, random_general_instance
 
 
 @pytest.fixture
@@ -625,3 +627,21 @@ def test_solve_output_pinned():
             h.update(repr((e.pass_no, e.x, e.z, e.u, e.partners, e.duplicate)).encode())
     assert len(instances) == 4702 + 300 + 12
     assert h.hexdigest() == "10da878de017b4e9b922245359c015d76f0a9efd9f85f94cc1eccfd0d76431d7"
+
+
+def test_probe_budget_trips_at_the_pinned_count():
+    # every probe counts, so a budget of exactly oracle_calls suffices and
+    # one less raises; parallel chains and seeded M+ and normalized instances
+    rng = random.Random(3737)
+    instances = [parallel_chain(k) for k in range(1, 7)]
+    instances += [random_mplus_instance(rng, max_vars=9, max_clauses=10) for _ in range(50)]
+    instances += [normalize(random_general_instance(rng, max_vars=8, max_clauses=6)) for _ in range(50)]
+    probed = 0
+    for inst in instances:
+        verdict = solve(inst)
+        assert solve(inst, max_probes=verdict.oracle_calls) == verdict
+        if verdict.oracle_calls:
+            probed += 1
+            with pytest.raises(ResourceLimitError, match=f"exceeded {verdict.oracle_calls - 1} probes"):
+                solve(inst, max_probes=verdict.oracle_calls - 1)
+    assert probed == 84
